@@ -10,8 +10,8 @@
 //!   Schema-Free XQuery expression, evaluated by the [`xquery`] engine
 //!   over the node arena.
 //! - [`BackendKind::Sql`] — the plan lowered to the [`sqlq`] SQL subset
-//!   ([`sql::lower`]), executed over the [`relstore`] interval-table
-//!   shredding of the same document.
+//!   ([`sql::lower`]), executed over the [`relstore`] view of the same
+//!   document as pre-rank interval tables.
 //!
 //! Both backends normalize their results into one [`AnswerSet`], so
 //! answer-set equivalence is directly assertable — the CI equivalence
@@ -31,7 +31,7 @@ pub enum BackendKind {
     /// Schema-Free XQuery over the node arena (the paper's target).
     #[default]
     Xquery,
-    /// The SQL subset over the relational shredding.
+    /// The SQL subset over the relational view of the document.
     Sql,
 }
 

@@ -224,10 +224,6 @@ pub struct Nalix {
     /// The default translation backend ([`BackendKind::Xquery`] unless
     /// overridden by [`Nalix::with_backend`]).
     backend: BackendKind,
-    /// The relational shredding the SQL backend evaluates over, built
-    /// lazily on first SQL query and shared thereafter (updates patch
-    /// it forward through [`Nalix::successor`]).
-    shredding: std::sync::OnceLock<std::sync::Arc<relstore::Shredding>>,
 }
 
 impl Nalix {
@@ -255,7 +251,6 @@ impl Nalix {
             translations: TranslationCache::default(),
             metrics,
             backend: BackendKind::default(),
-            shredding: std::sync::OnceLock::new(),
         }
     }
 
@@ -302,17 +297,6 @@ impl Nalix {
                 Engine::with_metrics(doc.clone(), metrics.clone()),
             ),
         };
-        // Carry the shredding forward only if the prior generation had
-        // built one (the SQL backend was in use): a value-only commit
-        // patches the tables in place, anything structural rebuilds.
-        let shredding = std::sync::OnceLock::new();
-        if let Some(prev) = prior.shredding.get() {
-            let span = metrics.span(obs::Stage::ShredBuild);
-            let next = prev.successor(&doc, stats);
-            span.finish(obs::SpanOutcome::Ok);
-            metrics.add(obs::Counter::ShredBuilds, 1);
-            let _ = shredding.set(std::sync::Arc::new(next));
-        }
         Nalix {
             catalog,
             engine,
@@ -320,7 +304,6 @@ impl Nalix {
             translations: TranslationCache::with_capacity(prior.translations.capacity()),
             metrics,
             backend: prior.backend,
-            shredding,
         }
     }
 
@@ -338,19 +321,10 @@ impl Nalix {
         self.backend
     }
 
-    /// The relational shredding of the document (the SQL backend's
-    /// tables), built lazily on first touch under an
-    /// [`obs::Stage::ShredBuild`] span and shared thereafter.
-    pub fn shredding(&self) -> std::sync::Arc<relstore::Shredding> {
-        self.shredding
-            .get_or_init(|| {
-                let span = self.metrics.span(obs::Stage::ShredBuild);
-                let shred = relstore::Shredding::build(&self.doc);
-                span.finish(obs::SpanOutcome::Ok);
-                self.metrics.add(obs::Counter::ShredBuilds, 1);
-                std::sync::Arc::new(shred)
-            })
-            .clone()
+    /// The relational view of the document (the SQL backend's
+    /// tables). It borrows the document, so it costs nothing to make.
+    pub fn shredding(&self) -> relstore::Shredding<'_> {
+        relstore::Shredding::build(&self.doc)
     }
 
     /// Replace the translation cache with one bounded to `capacity`
@@ -691,7 +665,7 @@ impl Nalix {
     }
 
     /// Lower the shared plan to the SQL subset and run it over the
-    /// relational shredding, under [`obs::Stage::SqlTranslate`] and
+    /// relational view, under [`obs::Stage::SqlTranslate`] and
     /// [`obs::Stage::SqlEval`] spans. Budget trips map to the same
     /// `budget.tuples` error class as the XQuery engine's.
     fn run_sql(
@@ -1082,7 +1056,6 @@ mod tests {
             .unwrap();
         assert_eq!(out, vec!["Steven Soderbergh"]);
         let snap = nalix.metrics();
-        assert!(snap.counter(obs::Counter::ShredBuilds) == 1);
         assert!(snap.counter(obs::Counter::SqlTuples) > 0);
     }
 

@@ -112,7 +112,7 @@ fn bucket_upper_ns(i: usize) -> u64 {
 ///     names,
 ///     [
 ///         "parse", "classify", "validate", "translate", "eval",
-///         "sql_translate", "sql_eval", "shred_build",
+///         "sql_translate", "sql_eval",
 ///         "store_load", "store_reload", "store_update",
 ///         "index_patch", "index_rebuild",
 ///         "http_query", "http_batch", "http_health", "http_metrics",
@@ -143,13 +143,9 @@ pub enum Stage {
     /// counterpart — its plan *is* the emitted expression).
     SqlTranslate,
     /// Evaluation of a lowered SQL query by the `sqlq` executor over
-    /// the relational shredding (the `sql` backend's analog of
-    /// [`Stage::Eval`]).
+    /// the relational view of the document (the `sql` backend's analog
+    /// of [`Stage::Eval`]).
     SqlEval,
-    /// One construction of a document's relational shredding
-    /// (`relstore`): lazy first touch by a SQL-backend query, or the
-    /// successor patch/rebuild after a node-level update.
-    ShredBuild,
     /// One first-time construction of a document pipeline by the
     /// `store` crate: dataset generation or XML parse, plus structural
     /// index, catalog, and engine construction.
@@ -193,7 +189,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 18;
 
     /// All stages, in pipeline order (store lifecycle spans and HTTP
     /// endpoints last).
@@ -205,7 +201,6 @@ impl Stage {
         Stage::Eval,
         Stage::SqlTranslate,
         Stage::SqlEval,
-        Stage::ShredBuild,
         Stage::StoreLoad,
         Stage::StoreReload,
         Stage::StoreUpdate,
@@ -248,7 +243,6 @@ impl Stage {
             Stage::Eval => "eval",
             Stage::SqlTranslate => "sql_translate",
             Stage::SqlEval => "sql_eval",
-            Stage::ShredBuild => "shred_build",
             Stage::StoreLoad => "store_load",
             Stage::StoreReload => "store_reload",
             Stage::StoreUpdate => "store_update",
@@ -458,14 +452,11 @@ pub enum Counter {
     /// (the quantity its tuple budget bounds — the relational analog
     /// of [`Counter::EvalTuples`]).
     SqlTuples,
-    /// Relational shreddings produced by `relstore`: lazy first
-    /// builds, plus successor patches/rebuilds after updates.
-    ShredBuilds,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 35;
 
     /// All counters, in [`Counter::index`] order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -504,7 +495,6 @@ impl Counter {
         Counter::IndexRebuilds,
         Counter::UpdateConflicts,
         Counter::SqlTuples,
-        Counter::ShredBuilds,
     ];
 
     /// Dense index of this counter (its position in [`Counter::ALL`]).
@@ -550,7 +540,6 @@ impl Counter {
             Counter::IndexRebuilds => "index_rebuilds",
             Counter::UpdateConflicts => "update_conflicts",
             Counter::SqlTuples => "sql_tuples",
-            Counter::ShredBuilds => "shred_builds",
         }
     }
 }

@@ -1384,10 +1384,10 @@ fn natural_language_mutations_are_refused() {
 }
 
 /// The `backend` knob on `POST /query`: `"sql"` answers over the
-/// relational shredding with the compiled SQL echoed, agrees with the
-/// xquery backend on the answer set, survives a hot reload and an
-/// update commit (the shredding is rebuilt / patched and the new
-/// generation echoed), and an unknown backend is the typed
+/// document's relational view with the compiled SQL echoed, agrees
+/// with the xquery backend on the answer set, survives a hot reload
+/// and an update commit (the view reads the new snapshot and the new
+/// generation is echoed), and an unknown backend is the typed
 /// `backend.unknown` 400.
 #[test]
 fn sql_backend_round_trips_and_survives_reload_and_update() {
@@ -1401,13 +1401,13 @@ fn sql_backend_round_trips_and_survives_reload_and_update() {
         let via_sql = post(addr, "/query", &body_on("SQL")); // case-blind
         let unknown = post(addr, "/query", &body_on("postgres"));
 
-        // Hot reload: a fresh pipeline (and a fresh shredding on next
-        // SQL touch) behind the same name.
+        // Hot reload: a fresh pipeline (and so a view of the fresh
+        // document) behind the same name.
         let reload = put_doc(addr, "movies", "movies");
         let after_reload = post(addr, "/query", &body_on("sql"));
 
         // Update commit: patch one director away, then ask again on
-        // the SQL backend against the patched shredding.
+        // the SQL backend against the patched document.
         let pinned = store.get(Some("movies")).expect("movies is resident");
         let doc = pinned.doc();
         let director = doc

@@ -1,12 +1,13 @@
 //! A panic-free, std-only executor for the SQL subset, evaluating over
-//! a [`relstore::Shredding`].
+//! the [`relstore::Shredding`] view of a document.
 //!
 //! The plan is nested loops in `FROM` order with **conjunct pushdown**:
 //! every predicate runs as soon as the aliases it binds locally are all
 //! bound (correlated outer aliases are bound by definition), and
 //! `mqf(…)` decomposes into its pairwise checks — meaningfulness is
 //! monotone, so a failing pair prunes the whole subtree of tuples, the
-//! same strategy the XQuery engine's FLWOR evaluator uses. Candidate
+//! same strategy the XQuery engine's FLWOR evaluator uses, and each pair
+//! is the engine's own test ([`xquery::mlca::related_pres`]). Candidate
 //! rows come from the per-label postings (pre-sorted, so tuples
 //! enumerate in document order without sorting).
 //!
@@ -27,6 +28,7 @@
 
 use crate::ast::{FromItem, PathAxis, Pred, Projection, Scalar, SqlAgg, SqlCmp, SqlQuery, StrFn};
 use relstore::Shredding;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
@@ -75,16 +77,16 @@ pub enum SqlVal {
 }
 
 impl SqlVal {
-    /// The value's string form (nodes atomize through the shredding).
-    pub fn render(&self, shred: &Shredding) -> String {
+    /// The value's string form (nodes atomize through the view).
+    pub fn render<'a>(&'a self, shred: &Shredding<'a>) -> Cow<'a, str> {
         match self {
             SqlVal::Node(pre) => shred.atomize(*pre),
-            SqlVal::Str(s) => s.clone(),
-            SqlVal::Num(n) => crate::pretty::format_number(*n),
+            SqlVal::Str(s) => Cow::Borrowed(s),
+            SqlVal::Num(n) => Cow::Owned(crate::pretty::format_number(*n)),
         }
     }
 
-    fn numeric(&self, shred: &Shredding) -> Option<f64> {
+    fn numeric(&self, shred: &Shredding<'_>) -> Option<f64> {
         match self {
             SqlVal::Num(n) => Some(*n),
             SqlVal::Str(s) => s.trim().parse().ok(),
@@ -95,7 +97,7 @@ impl SqlVal {
 
 /// Compare two values with the engine's `compare_items` semantics:
 /// numeric when both sides are numeric, lexicographic otherwise.
-pub fn compare_vals(shred: &Shredding, a: &SqlVal, b: &SqlVal) -> Ordering {
+pub fn compare_vals(shred: &Shredding<'_>, a: &SqlVal, b: &SqlVal) -> Ordering {
     let sa = a.render(shred);
     let sb = b.render(shred);
     let num = |v: &SqlVal, s: &str| -> Option<f64> {
@@ -138,7 +140,7 @@ impl SqlOutput {
     /// `strings()` over the equivalent FLWOR: a `Columns` projection
     /// emits every item value separately; a `Concat` projection emits
     /// one concatenated string per row.
-    pub fn strings(&self, shred: &Shredding) -> Vec<String> {
+    pub fn strings(&self, shred: &Shredding<'_>) -> Vec<String> {
         let mut out = Vec::new();
         for row in &self.rows {
             if self.projection_concat {
@@ -152,7 +154,7 @@ impl SqlOutput {
             } else {
                 for vals in row {
                     for v in vals {
-                        out.push(v.render(shred));
+                        out.push(v.render(shred).into_owned());
                     }
                 }
             }
@@ -163,7 +165,7 @@ impl SqlOutput {
 
 /// Execute `q` against `shred`.
 pub fn execute(
-    shred: &Shredding,
+    shred: &Shredding<'_>,
     q: &SqlQuery,
     limits: &ExecLimits,
 ) -> Result<SqlOutput, SqlError> {
@@ -254,7 +256,7 @@ enum Check<'q> {
 }
 
 struct Exec<'s> {
-    shred: &'s Shredding,
+    shred: &'s Shredding<'s>,
     limits: ExecLimits,
     tuples: Cell<u64>,
 }
@@ -362,8 +364,7 @@ impl<'s> Exec<'s> {
                 let ok = match c {
                     Check::Pred(p) => self.pred(p, env)?,
                     Check::MqfPair(a, b) => {
-                        let (ra, rb) = (self.resolve(a, env)?, self.resolve(b, env)?);
-                        self.shred.meaningfully_related(ra, rb)
+                        self.related(self.resolve(a, env)?, self.resolve(b, env)?)
                     }
                 };
                 if !ok {
@@ -453,6 +454,12 @@ impl<'s> Exec<'s> {
             cands.partition_point(|&x| x < lo),
             cands.partition_point(|&x| x <= hi),
         )
+    }
+
+    /// The MLCA test of one `mqf` pair of rows.
+    fn related(&self, a: u32, b: u32) -> bool {
+        let probe = &mut xquery::mlca::PartnerProbe::default();
+        xquery::mlca::related_pres(self.shred.doc(), a, b, probe)
     }
 
     fn candidates(&self, f: &FromItem) -> Vec<u32> {
@@ -619,7 +626,7 @@ impl<'s> Exec<'s> {
                     Ok(self
                         .scalar(s, env)?
                         .first()
-                        .map(|v| v.render(self.shred))
+                        .map(|v| v.render(self.shred).into_owned())
                         .unwrap_or_default())
                 };
                 let a = first(lhs)?;
@@ -635,7 +642,12 @@ impl<'s> Exec<'s> {
                 for a in aliases {
                     rows.push(self.resolve(a, env)?);
                 }
-                Ok(self.shred.set_meaningfully_related(&rows))
+                Ok(rows.iter().enumerate().all(|(i, &a)| {
+                    rows.get(i + 1..)
+                        .unwrap_or(&[])
+                        .iter()
+                        .all(|&b| self.related(a, b))
+                }))
             }
             Pred::ChildOf { child, parent } => {
                 let (c, p) = (self.resolve(child, env)?, self.resolve(parent, env)?);

@@ -46,8 +46,8 @@ mod tests {
     use super::*;
     use relstore::Shredding;
 
-    fn shred(xml: &str) -> Shredding {
-        Shredding::build(&xmldb::Document::parse_str(xml).unwrap())
+    fn doc(xml: &str) -> xmldb::Document {
+        xmldb::Document::parse_str(xml).unwrap()
     }
 
     fn val(a: &str) -> Scalar {
@@ -75,7 +75,8 @@ mod tests {
 
     #[test]
     fn selection_with_constant_filter() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"]), from("v2", &["price"])],
@@ -94,7 +95,8 @@ mod tests {
 
     #[test]
     fn order_by_sorts_numerically_and_desc_reverses() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let mut q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["year"])],
@@ -111,7 +113,8 @@ mod tests {
 
     #[test]
     fn uncorrelated_min_subquery_selects_cheapest_book() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"]), from("v2", &["price"])],
@@ -140,7 +143,8 @@ mod tests {
     fn correlated_count_subquery_sees_outer_alias() {
         // Each book carries exactly one price, so a correlated
         // `count(price within this book) = 1` keeps every title.
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["book"])],
@@ -167,7 +171,8 @@ mod tests {
 
     #[test]
     fn count_aggregate_over_empty_input_is_zero() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![Scalar::Agg {
                 func: SqlAgg::Count,
@@ -187,7 +192,8 @@ mod tests {
 
     #[test]
     fn sum_over_non_numeric_is_a_type_error() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![Scalar::Agg {
                 func: SqlAgg::Sum,
@@ -208,7 +214,8 @@ mod tests {
 
     #[test]
     fn child_and_within_joins() {
-        let s = shred("<a><b><c>x</c></b><c>y</c></a>");
+        let d = doc("<a><b><c>x</c></b><c>y</c></a>");
+        let s = Shredding::build(&d);
         let child = SqlQuery {
             projection: Projection::Columns(vec![val("v2")]),
             from: vec![from("v1", &["a"]), from("v2", &["c"])],
@@ -235,7 +242,8 @@ mod tests {
     fn not_exists_implements_universal_quantification() {
         // Books where *every* related price < 50 (i.e. NOT EXISTS a
         // related price >= 50): only the third book qualifies.
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"])],
@@ -262,7 +270,8 @@ mod tests {
 
     #[test]
     fn nodes_scalar_reads_children_values() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![Scalar::Nodes {
                 alias: "v1".into(),
@@ -286,7 +295,8 @@ mod tests {
 
     #[test]
     fn concat_projection_joins_values_per_row() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Concat(vec![val("v1"), Scalar::Str(" / ".into()), val("v2")]),
             from: vec![from("v1", &["title"]), from("v2", &["year"])],
@@ -305,7 +315,8 @@ mod tests {
 
     #[test]
     fn str_fn_predicates() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"])],
@@ -321,7 +332,8 @@ mod tests {
 
     #[test]
     fn tuple_budget_aborts() {
-        let s = shred(BIB);
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"]), from("v2", &["price"])],

@@ -1,10 +1,11 @@
 //! Tree navigation: children, descendants, ancestors, subtree tests and
 //! lowest common ancestors.
 //!
-//! These are the structural primitives beneath both the XQuery engine's
-//! path steps and the MLCA (meaningful lowest common ancestor) algorithm
-//! in crate `xquery`, as well as the Meet operator of the keyword-search
-//! baseline. Containment tests use pre/post-order ranks, so they are O(1).
+//! These are the structural primitives beneath the XQuery engine's path
+//! steps, the postings probes of the MLCA (meaningful lowest common
+//! ancestor) predicate in crate `xquery`, and the Meet operator of the
+//! keyword-search baseline. Containment tests use pre/post-order ranks,
+//! so they are O(1).
 //! On a finalized document LCA queries are answered in O(1) from the
 //! Euler-tour index built by [`Document::finalize`], and level-ancestor
 //! queries (including [`Document::child_toward`]) in O(log n) via binary
@@ -44,12 +45,11 @@ impl Document {
     /// finalization it falls back to an explicit-stack link walk.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
         if let Some(ix) = &self.struct_index {
-            let lo = self.arena.pre[id.index()] as usize;
-            let hi = ix.subtree_hi(id) as usize;
+            let lo = self.arena.pre[id.index()];
             // Skip `id` itself: its pre rank is `lo`.
             return Descendants {
                 doc: self,
-                sweep: Some(lo + 1..hi + 1),
+                sweep: Some(lo as usize + 1..ix.subtree_hi(lo) as usize + 1),
                 stack: Vec::new(),
             };
         }
@@ -165,7 +165,10 @@ impl Document {
             return None;
         }
         match &self.struct_index {
-            Some(ix) => Some(ix.ancestor_at_depth(desc, ix.depth(anc) + 1)),
+            Some(ix) => {
+                let depth = &self.arena.depth;
+                Some(ix.ancestor_at_depth(desc, depth[desc.index()], depth[anc.index()] + 1))
+            }
             None => self.child_toward_walk(anc, desc),
         }
     }
@@ -196,7 +199,7 @@ impl Document {
             return None;
         }
         match &self.struct_index {
-            Some(ix) => Some(ix.ancestor_at_depth(id, depth)),
+            Some(ix) => Some(ix.ancestor_at_depth(id, own, depth)),
             None => {
                 let mut cur = id;
                 for _ in 0..own - depth {
@@ -251,25 +254,11 @@ impl Document {
         root: NodeId,
         cursor: &mut SubtreeProbeCursor,
     ) -> &[NodeId] {
-        obs::count_hot(obs::Counter::SubtreeProbes, 1);
         let Some(p) = self.postings_for(sym) else {
             return &[];
         };
         let (lo, hi) = self.subtree_pre_range(root);
-        let start = gallop_lower_bound(&p.pres, lo, cursor.pos);
-        let end = start + gallop_lower_bound(&p.pres[start..], hi + 1, 0);
-        cursor.pos = start;
-        &p.ids[start..end]
-    }
-
-    /// Cursor-accelerated [`Document::count_label_in_subtree`].
-    pub fn count_label_in_subtree_from(
-        &self,
-        sym: crate::interner::Symbol,
-        root: NodeId,
-        cursor: &mut SubtreeProbeCursor,
-    ) -> usize {
-        self.labeled_in_subtree_from(sym, root, cursor).len()
+        &p.ids[cursor.range(&p.pres, lo, hi)]
     }
 
     /// The pre-order rank interval `[lo, hi]` covering exactly the
@@ -278,7 +267,7 @@ impl Document {
     fn subtree_pre_range(&self, root: NodeId) -> (u32, u32) {
         let lo = self.arena.pre[root.index()];
         if let Some(ix) = &self.struct_index {
-            return (lo, ix.subtree_hi(root));
+            return (lo, ix.subtree_hi(lo));
         }
         // The subtree of root is a contiguous pre-order interval; its end
         // is found from the next node after the subtree. Walk to the next
@@ -298,14 +287,47 @@ impl Document {
 }
 
 /// Remembered position inside one label's postings, carried between
-/// successive [`Document::labeled_in_subtree_from`] probes.
+/// successive probes of them ([`Document::labeled_in_subtree_from`],
+/// [`SubtreeProbeCursor::any`]).
 ///
 /// A cursor is only a performance hint — any value (including the
 /// default) yields correct results — and it is only meaningful for the
 /// label it was last used with; keep one cursor per label.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SubtreeProbeCursor {
-    pos: usize,
+    pos: Option<usize>,
+}
+
+impl SubtreeProbeCursor {
+    /// The index range of the entries of the ascending `pres` (a label's
+    /// [`Document::label_pres`]) that lie in the pre interval
+    /// `[lo, hi]` — for a subtree root `lo`, the label's nodes inside
+    /// its subtree.
+    pub fn range(&mut self, pres: &[u32], lo: u32, hi: u32) -> std::ops::Range<usize> {
+        let start = self.seek(pres, lo);
+        start..start + gallop_lower_bound(&pres[start..], hi + 1, 0)
+    }
+
+    /// Does any entry of the ascending `pres` lie in `[lo, hi]`? The
+    /// probe of [`SubtreeProbeCursor::range`] without locating the
+    /// range's end.
+    pub fn any(&mut self, pres: &[u32], lo: u32, hi: u32) -> bool {
+        let start = self.seek(pres, lo);
+        pres.get(start).is_some_and(|&p| p <= hi)
+    }
+
+    /// The first index of `pres` at or above `lo`: a binary search for
+    /// a fresh cursor, otherwise a gallop from where the previous probe
+    /// started. Leaves the cursor there.
+    fn seek(&mut self, pres: &[u32], lo: u32) -> usize {
+        obs::count_hot(obs::Counter::SubtreeProbes, 1);
+        let start = match self.pos {
+            Some(hint) => gallop_lower_bound(pres, lo, hint),
+            None => pres.partition_point(|&p| p < lo),
+        };
+        self.pos = Some(start);
+        start
+    }
 }
 
 /// First index `i` of sorted `pres` with `pres[i] >= target`, found by

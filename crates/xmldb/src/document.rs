@@ -75,7 +75,10 @@ impl Document {
         self.root
     }
 
-    /// Total number of nodes (elements + attributes + text).
+    /// Number of arena slots: every node ever created, including nodes
+    /// a node-level update detached, which keep their slot until a
+    /// rebuild. Ranges over live nodes use the pre-keyed columns
+    /// ([`Document::parent_pres`]) or [`DocStats::total_nodes`].
     #[inline]
     pub fn len(&self) -> usize {
         self.arena.len()
@@ -247,23 +250,16 @@ impl Document {
     /// [`crate::axes`] that relies on ranks will panic (in debug builds)
     /// on an unfinalized document.
     pub fn finalize(&mut self) {
-        // Iterative DFS assigning pre on entry and post on exit, and
-        // recording the entry sequence as the document-order table.
+        // Iterative DFS assigning pre ranks and depths on entry and
+        // recording the entry sequence as the document-order table; the
+        // structural index pass below assigns post ranks.
         let n = self.arena.len();
-        let mut pre = 0u32;
-        let mut post = 0u32;
         let mut order: Vec<u32> = Vec::with_capacity(n);
-        // Stack entries: (arena index, entered?).
-        let mut stack: Vec<(u32, bool)> = vec![(self.root.0, false)];
+        let mut stack: Vec<u32> = vec![self.root.0];
         let mut scratch: Vec<u32> = Vec::new();
-        while let Some((i, entered)) = stack.pop() {
+        while let Some(i) = stack.pop() {
             let iu = i as usize;
-            if entered {
-                self.arena.post[iu] = post;
-                post += 1;
-                continue;
-            }
-            self.arena.pre[iu] = pre;
+            self.arena.pre[iu] = order.len() as u32;
             // Parents are entered before their children, so the parent's
             // depth is already assigned.
             self.arena.depth[iu] = match self.arena.parent[iu] {
@@ -271,8 +267,6 @@ impl Document {
                 p => self.arena.depth[p as usize] + 1,
             };
             order.push(i);
-            pre += 1;
-            stack.push((i, true));
             // Push children in reverse so the first child is processed
             // first (one reusable scratch buffer, not one per node).
             scratch.clear();
@@ -281,16 +275,15 @@ impl Document {
                 scratch.push(c);
                 c = self.arena.next_sibling[c as usize];
             }
-            for &cid in scratch.iter().rev() {
-                stack.push((cid, false));
-            }
+            stack.extend(scratch.iter().rev());
         }
         self.order = order;
         self.rebuild_postings();
 
         // Structural index over the rank-annotated tree: O(1) LCA via
-        // Euler-tour RMQ, O(log n) level ancestors via binary lifting.
-        self.struct_index = Some(StructIndex::build(&self.arena, self.root));
+        // Euler-tour RMQ, O(log n) level ancestors via binary lifting,
+        // and the pre-keyed parent and extent columns.
+        self.struct_index = Some(StructIndex::from_order(&mut self.arena, &self.order, None));
         self.finalized = true;
     }
 
@@ -332,7 +325,7 @@ impl Document {
         for (rank, &i) in order.iter().enumerate() {
             self.arena.pre[i as usize] = rank as u32;
         }
-        let ix = StructIndex::from_order(&mut self.arena, &order, &prior);
+        let ix = StructIndex::from_order(&mut self.arena, &order, Some(prior));
         self.struct_index = Some(ix);
         self.order = order;
         self.rebuild_postings();
@@ -344,6 +337,32 @@ impl Document {
     #[inline]
     pub fn node_at_pre(&self, pre: u32) -> Option<NodeId> {
         self.order.get(pre as usize).map(|&i| NodeId(i))
+    }
+
+    /// The pre-keyed parent column: entry `p` is the pre rank of the
+    /// parent of the node at pre rank `p`, `u32::MAX` for the root. One
+    /// entry per live node; empty before finalization.
+    #[inline]
+    pub fn parent_pres(&self) -> &[u32] {
+        self.struct_index
+            .as_ref()
+            .map_or(&[], StructIndex::parent_pres)
+    }
+
+    /// The pre-keyed extent column: entry `p` is the largest pre rank
+    /// inside the subtree of the node at pre rank `p`, so that subtree
+    /// is exactly the pre interval `[p, extents()[p]]`. Empty before
+    /// finalization.
+    #[inline]
+    pub fn extents(&self) -> &[u32] {
+        self.struct_index.as_ref().map_or(&[], StructIndex::extents)
+    }
+
+    /// The ascending pre ranks of the nodes labelled `sym` (the label
+    /// postings' pre column).
+    #[inline]
+    pub fn label_pres(&self, sym: Symbol) -> &[u32] {
+        self.postings_for(sym).map_or(&[], |p| p.pres.as_slice())
     }
 
     /// Whether [`Document::finalize`] has run.
@@ -532,9 +551,8 @@ impl Document {
     fn subtree_texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
         let range = match &self.struct_index {
             Some(ix) => {
-                let lo = self.arena.pre[id.index()] as usize;
-                let hi = ix.subtree_hi(id) as usize;
-                lo..hi + 1
+                let lo = self.arena.pre[id.index()];
+                lo as usize..ix.subtree_hi(lo) as usize + 1
             }
             None => 0..0,
         };
@@ -670,7 +688,8 @@ pub struct MemoryFootprint {
     pub doc_order: usize,
     /// Per-label postings (ids + pre ranks).
     pub label_postings: usize,
-    /// Euler tour, sparse RMQ table, binary-lifting table, extents.
+    /// Euler tour, sparse RMQ table, binary-lifting table, and the
+    /// pre-keyed parent and extent columns.
     pub struct_index: usize,
 }
 

@@ -66,8 +66,8 @@
 //!
 //! The [`axes`] primitives count their work (`lca_queries`,
 //! `child_toward_queries`, `subtree_probes`) in the process-wide
-//! [`obs::global`] registry — these are the structural-join
-//! cost drivers behind `mqf()` evaluation upstairs. See
+//! [`obs::global`] registry; `subtree_probes` includes the postings
+//! probes behind `mqf()` evaluation upstairs. See
 //! `docs/OBSERVABILITY.md` in the repository root for the catalog.
 
 pub(crate) mod arena;

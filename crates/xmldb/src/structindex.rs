@@ -1,13 +1,10 @@
-//! Precomputed structural index: constant-time LCA and logarithmic
-//! level-ancestor queries over a finalized document.
+//! Precomputed structural index: constant-time LCA, logarithmic
+//! level-ancestor queries, and the pre-keyed interval columns of a
+//! finalized document.
 //!
-//! The MLCA predicate (crate `xquery`) asks two questions per candidate
-//! pair: *what is the lowest common ancestor of `a` and `b`?* and *which
-//! child of that LCA leads down to each node?* With parent-pointer walks
-//! both are O(depth); on the bushy-but-deep documents the generators
-//! produce that is the dominant cost of query evaluation. This module
-//! trades O(n) space, built once in [`crate::Document::finalize`],
-//! for:
+//! Built once in [`crate::Document::finalize`] (and on the update patch
+//! path) from one stack pass over the document order, it trades O(n)
+//! space for:
 //!
 //! - **LCA in O(1)** — the classic Euler-tour reduction to range-minimum:
 //!   record every node each time the tour enters or returns to it (2n−1
@@ -24,9 +21,16 @@
 //!   is reached by jumping along the binary expansion of the depth
 //!   difference. This gives `child_toward(anc, desc)` — the child of
 //!   `anc` on the path to `desc` — as a single level-ancestor query.
-//! - **Subtree extent in O(1)** — the largest pre-order rank inside each
-//!   node's subtree, replacing the walk-to-next-sibling scan behind the
-//!   label-count primitives.
+//! - **Subtree extent and parent in O(1), keyed by pre rank** — the
+//!   largest pre rank inside each node's subtree and the pre rank of its
+//!   parent. The extent replaces the walk-to-next-sibling scan behind the
+//!   label-count primitives; together the two columns are the interval
+//!   encoding the MLCA predicate (crate `xquery`) and the SQL backend's
+//!   view read. The MLCA climbs the parent column rather than querying
+//!   the LCA and level-ancestor tables: on the shallow documents here an
+//!   O(depth) walk over one column is cheaper than the O(1) RMQ's
+//!   scattered loads. Those tables serve [`crate::Document::lca`] and
+//!   [`crate::Document::child_toward`].
 //!
 //! The index holds only plain `Vec<u32>` tables, so it is `Send + Sync`
 //! for free and clones with the document.
@@ -58,14 +62,16 @@ pub(crate) struct StructIndex {
     /// `up[k][v]`: arena index of the 2^k-th ancestor of `v` (saturates
     /// at the root).
     up: Vec<Vec<u32>>,
-    /// Depth of each node, copied so queries need not consult the arena.
-    depth: Vec<u32>,
-    /// Largest pre-order rank inside each node's subtree (inclusive).
+    /// Pre rank of each node's parent, keyed by pre rank ([`NIL`] for
+    /// the root).
+    parent_pre: Vec<u32>,
+    /// Largest pre rank inside each node's subtree (inclusive), keyed
+    /// by pre rank.
     subtree_hi: Vec<u32>,
 }
 
 /// Block minima and the block-level sparse table over one Euler-tour
-/// depth array. Shared by the from-scratch build and the patch path.
+/// depth array.
 fn rmq_tables(euler_depth: &[u32]) -> (Vec<u32>, Vec<Vec<u32>>) {
     let m = euler_depth.len();
     let nb = m.div_ceil(BLOCK);
@@ -107,180 +113,86 @@ fn rmq_tables(euler_depth: &[u32]) -> (Vec<u32>, Vec<Vec<u32>>) {
 }
 
 impl StructIndex {
-    /// Build the index. The arena must already carry pre ranks and depths
-    /// (i.e. the rank-assignment phase of `finalize` has run).
-    pub(crate) fn build(arena: &NodeArena, root: NodeId) -> StructIndex {
-        let n = arena.len();
-        let mut euler = Vec::with_capacity(2 * n);
-        let mut euler_depth = Vec::with_capacity(2 * n);
-        let mut first = vec![u32::MAX; n];
-        let depth = arena.depth.clone();
-
-        // Euler tour: record a node on entry and again after each child's
-        // subtree. Iterative, so arbitrarily deep documents are fine.
-        enum Step {
-            Enter(u32),
-            Revisit(u32),
-        }
-        let mut stack = vec![Step::Enter(root.index() as u32)];
-        while let Some(step) = stack.pop() {
-            let v = match step {
-                Step::Enter(v) => {
-                    first[v as usize] = euler.len() as u32;
-                    // Schedule children interleaved with revisits of `v`:
-                    // tour(v) = v, tour(c1), v, tour(c2), v, …
-                    let mut kids = Vec::new();
-                    let mut c = arena.first_child[v as usize];
-                    while c != NIL {
-                        kids.push(c);
-                        c = arena.next_sibling[c as usize];
-                    }
-                    for &k in kids.iter().rev() {
-                        stack.push(Step::Revisit(v));
-                        stack.push(Step::Enter(k));
-                    }
-                    v
-                }
-                Step::Revisit(v) => v,
-            };
-            euler.push(v);
-            euler_depth.push(depth[v as usize]);
-        }
-
-        // Block minima over the tour depths, then a sparse table over
-        // the blocks — linear space, with boundary blocks scanned at
-        // query time.
-        let (block_min, sparse) = rmq_tables(&euler_depth);
-
-        // Binary-lifting ancestor table. The root points at itself, so
-        // over-long jumps saturate instead of needing bounds checks.
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let lift_levels = (u32::BITS - max_depth.leading_zeros()).max(1) as usize;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(lift_levels);
-        let base: Vec<u32> = (0..n)
-            .map(|i| match arena.parent[i] {
-                NIL => i as u32,
-                p => p,
-            })
-            .collect();
-        up.push(base);
-        for k in 1..lift_levels {
-            let prev = &up[k - 1];
-            let row: Vec<u32> = (0..n).map(|i| prev[prev[i] as usize]).collect();
-            up.push(row);
-        }
-
-        // Subtree extents: processing nodes by descending pre-order rank
-        // handles children before parents, and a node's subtree ends
-        // where its last child's does.
-        let mut by_pre: Vec<u32> = (0..n as u32)
-            .filter(|&i| arena.pre[i as usize] != u32::MAX)
-            .collect();
-        by_pre.sort_unstable_by_key(|&i| std::cmp::Reverse(arena.pre[i as usize]));
-        let mut subtree_hi = vec![u32::MAX; n];
-        for &i in &by_pre {
-            subtree_hi[i as usize] = match arena.last_child[i as usize] {
-                NIL => arena.pre[i as usize],
-                c => subtree_hi[c as usize],
-            };
-        }
-
-        StructIndex {
-            euler,
-            euler_depth,
-            first,
-            block_min,
-            sparse,
-            up,
-            depth,
-            subtree_hi,
-        }
-    }
-
-    /// Patch path: rebuild the index from an already-computed document
-    /// order, reusing the survivor rows of the prior index instead of
-    /// walking child links.
+    /// Build the index from a document order: one stack pass over the
+    /// pre-ranked nodes, taking over `prior`'s binary-lifting rows when
+    /// the order comes from a patch commit.
     ///
-    /// Requirements: `arena.pre` matches `order` (`pre[order[r]] == r`),
-    /// `arena.depth` is correct for every node in `order`, and every
-    /// arena index `>= prior.up[0].len()` is a newly appended node.
-    /// Because the edit API never *moves* a node, the parent of every
-    /// survivor is unchanged, so the prior binary-lifting rows stay
-    /// valid verbatim and only rows for appended nodes are computed.
-    /// A single stack pass over the order/depth pair derives the Euler
-    /// tour, first occurrences, subtree extents, and post-order ranks
+    /// Requirements: `arena.pre` matches `order` (`pre[order[r]] == r`)
+    /// and `arena.depth` is correct for every node in `order`. With a
+    /// `prior` index, every arena index `>= prior.up[0].len()` must be a
+    /// newly appended node: because the edit API never *moves* a node,
+    /// the parent of every survivor is unchanged, so the prior lifting
+    /// rows stay valid verbatim and only rows for appended nodes are
+    /// computed. The pass derives the Euler tour, first occurrences,
+    /// the pre-keyed parent and extent columns, and post-order ranks
     /// (written back into `arena.post`) in one sweep — no per-node
     /// child-list allocation, no pre-rank sort.
-    pub(crate) fn from_order(arena: &mut NodeArena, order: &[u32], prior: &StructIndex) -> Self {
+    pub(crate) fn from_order(
+        arena: &mut NodeArena,
+        order: &[u32],
+        prior: Option<StructIndex>,
+    ) -> Self {
         let n = arena.len();
         let live = order.len();
         let mut euler = Vec::with_capacity(2 * live);
         let mut euler_depth: Vec<u32> = Vec::with_capacity(2 * live);
         let mut first = vec![u32::MAX; n];
-        let mut subtree_hi = vec![u32::MAX; n];
+        let mut parent_pre = vec![NIL; live];
+        let mut subtree_hi = vec![0u32; live];
         // Pre-order with depths is a complete tree encoding: a node's
         // subtree ends right before the next node at its depth or
         // shallower. Closing a node appends a revisit of its parent to
         // the tour and assigns its post rank (pops cascade bottom-up,
-        // which is exactly post order).
+        // which is exactly post order). After the pops the stack top is
+        // the next node's parent. A `None` past the last rank closes
+        // every node still open.
         let mut stack: Vec<u32> = Vec::new();
         let mut post = 0u32;
-        for (rank, &v) in order.iter().enumerate() {
-            let dv = arena.depth[v as usize];
+        let ranked = order.iter().map(|&v| Some((v, arena.depth[v as usize])));
+        for (rank, next) in ranked.chain([None]).enumerate() {
             while let Some(&top) = stack.last() {
                 let tu = top as usize;
-                if arena.depth[tu] < dv {
+                if next.is_some_and(|(_, dv)| arena.depth[tu] < dv) {
                     break;
                 }
                 stack.pop();
                 arena.post[tu] = post;
                 post += 1;
-                subtree_hi[tu] = (rank - 1) as u32;
+                subtree_hi[arena.pre[tu] as usize] = (rank - 1) as u32;
                 if let Some(&p) = stack.last() {
                     euler.push(p);
                     euler_depth.push(arena.depth[p as usize]);
                 }
+            }
+            let Some((v, dv)) = next else { break };
+            if let Some(&p) = stack.last() {
+                parent_pre[rank] = arena.pre[p as usize];
             }
             first[v as usize] = euler.len() as u32;
             euler.push(v);
             euler_depth.push(dv);
             stack.push(v);
         }
-        while let Some(top) = stack.pop() {
-            let tu = top as usize;
-            arena.post[tu] = post;
-            post += 1;
-            subtree_hi[tu] = (live - 1) as u32;
-            if let Some(&p) = stack.last() {
-                euler.push(p);
-                euler_depth.push(arena.depth[p as usize]);
-            }
-        }
         debug_assert_eq!(euler.len(), 2 * live - 1);
 
         let (block_min, sparse) = rmq_tables(&euler_depth);
 
-        // Extend the lifting table: survivor entries are reused, rows
-        // grow only over the appended tail, and new levels are added
-        // only if an insertion deepened the tree past the old maximum.
-        let mut up = prior.up.clone();
-        let old_n = up.first().map_or(0, Vec::len);
+        // Binary-lifting table. The root points at itself, so over-long
+        // jumps saturate instead of needing bounds checks. Prior rows
+        // are reused, rows grow only over the appended tail, and new
+        // levels are added only if the tree got deeper than the levels
+        // cover.
+        let mut up = prior.map_or_else(|| vec![Vec::new()], |p| p.up);
+        let old_n = up[0].len();
         for k in 0..up.len() {
-            if k == 0 {
-                let row = &mut up[0];
-                for i in old_n..n {
-                    row.push(match arena.parent[i] {
-                        NIL => i as u32,
-                        p => p,
-                    });
-                }
-            } else {
-                let (head, tail) = up.split_at_mut(k);
-                let prev = &head[k - 1];
-                let row = &mut tail[0];
-                for i in old_n..n {
-                    row.push(prev[prev[i] as usize]);
-                }
+            let (head, tail) = up.split_at_mut(k);
+            let row = &mut tail[0];
+            for i in old_n..n {
+                row.push(match head.last() {
+                    None if arena.parent[i] == NIL => i as u32,
+                    None => arena.parent[i],
+                    Some(prev) => prev[prev[i] as usize],
+                });
             }
         }
         let max_new_depth = (old_n..n).map(|i| arena.depth[i]).max().unwrap_or(0);
@@ -298,7 +210,7 @@ impl StructIndex {
             block_min,
             sparse,
             up,
-            depth: arena.depth.clone(),
+            parent_pre,
             subtree_hi,
         }
     }
@@ -366,13 +278,14 @@ impl StructIndex {
         NodeId(self.euler[self.rmq(l, r)])
     }
 
-    /// The ancestor of `v` at depth `target` (which must not exceed the
-    /// depth of `v`); `v` itself when the depths match. O(log depth).
+    /// The ancestor of `v`, which sits at depth `depth`, at depth
+    /// `target` (which must not exceed `depth`); `v` itself when the
+    /// depths match. O(log depth).
     #[inline]
-    pub(crate) fn ancestor_at_depth(&self, v: NodeId, target: u32) -> NodeId {
+    pub(crate) fn ancestor_at_depth(&self, v: NodeId, depth: u32, target: u32) -> NodeId {
         let mut cur = v.index() as u32;
-        debug_assert!(target <= self.depth[cur as usize]);
-        let mut steps = self.depth[cur as usize] - target;
+        debug_assert!(target <= depth);
+        let mut steps = depth - target;
         let mut k = 0;
         while steps != 0 {
             if steps & 1 == 1 {
@@ -384,16 +297,23 @@ impl StructIndex {
         NodeId(cur)
     }
 
-    /// Largest pre-order rank inside the subtree of `v`, O(1).
+    /// Largest pre rank inside the subtree of the node at pre rank
+    /// `pre`, O(1).
     #[inline]
-    pub(crate) fn subtree_hi(&self, v: NodeId) -> u32 {
-        self.subtree_hi[v.index()]
+    pub(crate) fn subtree_hi(&self, pre: u32) -> u32 {
+        self.subtree_hi[pre as usize]
     }
 
-    /// Depth of `v` as recorded at build time.
+    /// The pre-keyed parent column (see [`crate::Document::parent_pres`]).
     #[inline]
-    pub(crate) fn depth(&self, v: NodeId) -> u32 {
-        self.depth[v.index()]
+    pub(crate) fn parent_pres(&self) -> &[u32] {
+        &self.parent_pre
+    }
+
+    /// The pre-keyed extent column (see [`crate::Document::extents`]).
+    #[inline]
+    pub(crate) fn extents(&self) -> &[u32] {
+        &self.subtree_hi
     }
 
     /// Bytes held by the index tables (for memory accounting).
@@ -405,7 +325,7 @@ impl StructIndex {
             + self.block_min.len()
             + self.sparse.iter().map(Vec::len).sum::<usize>()
             + self.up.iter().map(Vec::len).sum::<usize>()
-            + self.depth.len()
+            + self.parent_pre.len()
             + self.subtree_hi.len())
             * u
     }

@@ -36,14 +36,14 @@
 //! as distinct `index_patch` / `index_rebuild` spans):
 //!
 //! - [`CommitStrategy::Patch`] — the incremental path: splice the
-//!   order table, then derive the Euler tour, first occurrences,
-//!   subtree extents *and* post ranks in a single stack pass over the
-//!   spliced order (pre-order plus depths is a complete tree
-//!   encoding), rebuild only the linear RMQ block tables, extend the
-//!   lifting table, and refill the label postings in one pass. No
-//!   re-parse, no link-chasing DFS, and the catalog/value-index layers
-//!   above receive a [`ValueOp`] delta plus a dirty-label set instead
-//!   of rebuilding from scratch.
+//!   order table, then derive the Euler tour, first occurrences, the
+//!   pre-keyed parent and extent columns *and* post ranks in a single
+//!   stack pass over the spliced order (pre-order plus depths is a
+//!   complete tree encoding), rebuild only the linear RMQ block
+//!   tables, extend the lifting table, and refill the label postings
+//!   in one pass. No re-parse, no link-chasing DFS, and the
+//!   catalog/value-index layers above receive a [`ValueOp`] delta plus
+//!   a dirty-label set instead of rebuilding from scratch.
 //! - [`CommitStrategy::Rebuild`] — when an edit batch touches more
 //!   than a quarter of the live nodes the bookkeeping outweighs the
 //!   saving; commit falls back to re-running finalization over the
@@ -663,7 +663,7 @@ impl PendingUpdate {
                 return Err(UpdateError::NotFinalized);
             };
             let lo = self.doc.arena.pre[t];
-            let hi = ix.subtree_hi(target);
+            let hi = ix.subtree_hi(lo);
             self.deleted_ranges.push((lo, hi));
         }
         self.doc.arena.detach(target);
@@ -799,7 +799,7 @@ impl PendingUpdate {
             }
             let q = if s != NIL {
                 match &self.doc.struct_index {
-                    Some(ix) => ix.subtree_hi(NodeId(s)),
+                    Some(ix) => ix.subtree_hi(self.doc.arena.pre[s as usize]),
                     None => self.doc.arena.pre[s as usize],
                 }
             } else {
@@ -896,6 +896,10 @@ mod tests {
                 .collect();
             assert_eq!(a, b, "postings for {l}");
         }
+        // The pre-keyed parent and extent columns, read directly by the
+        // MLCA walks and the SQL view.
+        assert_eq!(doc.parent_pres(), oracle.parent_pres(), "parent column");
+        assert_eq!(doc.extents(), oracle.extents(), "extent column");
         for pre in 0..oracle.len() as u32 {
             let a = doc.node_at_pre(pre).unwrap();
             let b = oracle.node_at_pre(pre).unwrap();

@@ -21,8 +21,22 @@
 //!
 //! Since `lca(a', b)` is a proper descendant of `c` exactly when `a'`
 //! lies inside the subtree of the child of `c` on the path towards `b`,
-//! the test reduces to two *label-in-subtree* probes, each O(log n) via
-//! the document's label index ([`xmldb::Document::count_label_in_subtree`]).
+//! the test reduces to two *label-in-subtree* probes over the label
+//! postings' pre ranks ([`xmldb::Document::label_pres`]).
+//!
+//! ## One body for both backends
+//!
+//! [`related_pres`] is the only implementation of the pairwise test.
+//! It works on pre ranks and reads nothing but the document's pre-keyed
+//! parent and extent columns ([`xmldb::Document::parent_pres`],
+//! [`xmldb::Document::extents`]) and the postings: the LCA is found by
+//! climbing parents from `a` until the extent covers `b`. The XQuery
+//! engine reaches it through [`meaningfully_related`] and the partner
+//! enumeration; the SQL executor (crate `sqlq`) calls it on its pre-rank
+//! rows. Parent walks are O(depth), which on these shallow documents is
+//! cheaper than the O(1)-but-scattered Euler-tour RMQ and binary
+//! lifting of [`xmldb::Document::lca`] and
+//! [`xmldb::Document::child_toward`].
 //!
 //! ### Consequences (all covered by tests below)
 //!
@@ -39,24 +53,60 @@
 
 use xmldb::{Document, NodeId, SubtreeProbeCursor};
 
+/// The parent-column entry of the root.
+const NO_PARENT: u32 = u32::MAX;
+
 /// Is the pair `(a, b)` meaningfully related under MLCA semantics?
 ///
-/// `a == b` is trivially meaningful.
+/// `a == b` is trivially meaningful. This is [`related_pres`] with
+/// fresh cursors.
 pub fn meaningfully_related(doc: &Document, a: NodeId, b: NodeId) -> bool {
+    related_pres(doc, doc.pre(a), doc.pre(b), &mut PartnerProbe::default())
+}
+
+/// Is the pair of nodes at pre ranks `a` and `b` meaningfully related?
+/// The one pairwise MLCA body (see the module docs).
+///
+/// The cursors are per-label: `probe.anchor_label` tracks `label(a)`'s
+/// postings and `probe.partner_label` tracks `label(b)`'s, which is
+/// exactly the fixed-label situation of the partner sweep below. Pre
+/// ranks outside the document relate to nothing but themselves.
+pub fn related_pres(doc: &Document, a: u32, b: u32, probe: &mut PartnerProbe) -> bool {
     if a == b {
         return true;
     }
-    let c = doc.lca(a, b);
+    let (parent, extent) = (doc.parent_pres(), doc.extents());
+    let up = |p: u32| parent.get(p as usize).copied().unwrap_or(NO_PARENT);
+    let hi = |p: u32| extent.get(p as usize).copied().unwrap_or(p);
+    // Climb from `a` until the subtree covers `b`: that is `c`, and the
+    // last node passed on the way is `a`'s path child.
+    let (mut c, mut ca) = (a, None);
+    while !(c <= b && b <= hi(c)) {
+        match up(c) {
+            NO_PARENT => return false,
+            p => (ca, c) = (Some(c), p),
+        }
+    }
+    // `b`'s path child: climb from `b` to just below `c`.
+    let mut cb = (b != c).then_some(b);
+    while let Some(x) = cb {
+        match up(x) {
+            p if p == c => break,
+            NO_PARENT => cb = None,
+            p => cb = Some(p),
+        }
+    }
+    let postings_of = |p: u32| doc.node_at_pre(p).map(|n| doc.label_pres(doc.label_sym(n)));
     // Probe the b-side: a node labelled like `a` strictly below `c`
     // towards `b` would be nearer to `b` than `a` is.
-    if let Some(cb) = doc.child_toward(c, b) {
-        if doc.count_label_in_subtree(doc.label_sym(a), cb) > 0 {
+    if let (Some(cb), Some(pres)) = (cb, postings_of(a)) {
+        if probe.anchor_label.any(pres, cb, hi(cb)) {
             return false;
         }
     }
     // Symmetric probe on the a-side.
-    if let Some(ca) = doc.child_toward(c, a) {
-        if doc.count_label_in_subtree(doc.label_sym(b), ca) > 0 {
+    if let (Some(ca), Some(pres)) = (ca, postings_of(b)) {
+        if probe.partner_label.any(pres, ca, hi(ca)) {
             return false;
         }
     }
@@ -143,6 +193,7 @@ pub fn meaningful_partners_indexed_from(
 ) -> Vec<NodeId> {
     let mut out = Vec::new();
     let mut prev: Option<NodeId> = None;
+    let anchor_pre = doc.pre(anchor);
     let chain = std::iter::once(anchor).chain(doc.ancestors(anchor));
     for anc in chain {
         let ring = doc.labeled_in_subtree_from(label, anc, &mut probe.ring);
@@ -153,7 +204,7 @@ pub fn meaningful_partners_indexed_from(
                     continue;
                 }
             }
-            if meaningfully_related_from(doc, anchor, cand, probe) {
+            if related_pres(doc, anchor_pre, doc.pre(cand), probe) {
                 out.push(cand);
             }
         }
@@ -164,33 +215,6 @@ pub fn meaningful_partners_indexed_from(
     }
     out.sort_by_key(|&n| doc.pre(n));
     out
-}
-
-/// [`meaningfully_related`] with cursor-accelerated label probes. The
-/// cursors are per-label: `probe.anchor_label` tracks `label(a)`'s
-/// postings and `probe.partner_label` tracks `label(b)`'s, which is
-/// exactly the fixed-label situation of the partner sweep above.
-fn meaningfully_related_from(
-    doc: &Document,
-    a: NodeId,
-    b: NodeId,
-    probe: &mut PartnerProbe,
-) -> bool {
-    if a == b {
-        return true;
-    }
-    let c = doc.lca(a, b);
-    if let Some(cb) = doc.child_toward(c, b) {
-        if doc.count_label_in_subtree_from(doc.label_sym(a), cb, &mut probe.anchor_label) > 0 {
-            return false;
-        }
-    }
-    if let Some(ca) = doc.child_toward(c, a) {
-        if doc.count_label_in_subtree_from(doc.label_sym(b), ca, &mut probe.partner_label) > 0 {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

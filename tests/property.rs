@@ -64,6 +64,20 @@ fn build(spec: &TreeSpec) -> Document {
     doc
 }
 
+/// MLCA straight from the paper's definition (Sec. 2), by brute force
+/// over parent walks: `(a, b)` is *not* meaningful when some `a'` with
+/// `a`'s label has `lca(a', b)` strictly below `lca(a, b)`, or some `b'`
+/// with `b`'s label has `lca(a, b')` strictly below it.
+fn mlca_oracle(doc: &Document, a: NodeId, b: NodeId) -> bool {
+    let c = doc.lca_walk(a, b);
+    let blocked = |like: NodeId, other: NodeId| {
+        (0..doc.len()).map(NodeId::from_index).any(|x| {
+            doc.label(x) == doc.label(like) && doc.is_proper_ancestor(c, doc.lca_walk(x, other))
+        })
+    };
+    !blocked(a, b) && !blocked(b, a)
+}
+
 fn elements(doc: &Document) -> Vec<NodeId> {
     (0..doc.len())
         .map(NodeId::from_index)
@@ -184,6 +198,21 @@ proptest! {
     // -----------------------------------------------------------------
     // MLCA algebra
     // -----------------------------------------------------------------
+
+    #[test]
+    fn mlca_matches_the_definition_oracle(spec in tree_strategy()) {
+        let doc = build(&spec);
+        let all: Vec<NodeId> = (0..doc.len()).map(NodeId::from_index).collect();
+        for &a in &all {
+            for &b in &all {
+                prop_assert_eq!(
+                    meaningfully_related(&doc, a, b),
+                    mlca_oracle(&doc, a, b),
+                    "mqf({:?},{:?})", a, b
+                );
+            }
+        }
+    }
 
     #[test]
     fn mlca_is_reflexive_and_symmetric(spec in tree_strategy()) {
@@ -475,13 +504,13 @@ proptest! {
 
 proptest! {
     // -----------------------------------------------------------------
-    // Relational shredding vs. the arena oracle
+    // Relational view vs. the arena's links
     // -----------------------------------------------------------------
 
-    /// The SQL backend's interval tables are a lossless re-encoding of
-    /// the arena: same row count, and for every node the same parent,
-    /// subtree extent (computed here by brute-force walk), label, and
-    /// atomized string value.
+    /// The SQL backend's interval tables, read from the arena's
+    /// pre-keyed columns, agree with the links: same row count, and for
+    /// every node the same parent, subtree extent (computed here by
+    /// brute-force walk), label, and atomized string value.
     #[test]
     fn shredding_matches_the_arena_oracle(spec in tree_strategy()) {
         let doc = build(&spec);
@@ -509,6 +538,25 @@ proptest! {
             // (`Document::atom_value`), not the raw whole-subtree
             // string value.
             prop_assert_eq!(shred.atomize(pre), doc.atom_value(n).into_owned());
+        }
+    }
+}
+
+/// The one MLCA predicate against the definition oracle on every node
+/// pair of the paper's movie datasets.
+#[test]
+fn mlca_matches_the_definition_oracle_on_the_movie_datasets() {
+    use nalix_repro::xmldb::datasets::movies::{movies, movies_and_books};
+    for doc in [movies(), movies_and_books()] {
+        let all: Vec<NodeId> = (0..doc.len()).map(NodeId::from_index).collect();
+        for &a in &all {
+            for &b in &all {
+                assert_eq!(
+                    meaningfully_related(&doc, a, b),
+                    mlca_oracle(&doc, a, b),
+                    "mqf({a:?},{b:?})"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! 100×-scale corpus test: builds the ~8M-node DBLP document the
 //! `BENCH_EVAL.json` records are measured against, and asserts the
 //! columnar arena's memory stays within budget while representative
-//! queries complete under the *default* evaluation budget.
+//! queries complete under the *default* evaluation budget, on the
+//! XQuery engine and on the SQL backend's relational view.
 //!
 //! Ignored by default — corpus construction alone takes tens of
 //! seconds — and run by the dedicated `scale` CI job:
@@ -10,6 +11,8 @@
 //! $ cargo test --release --test scale_corpus -- --ignored
 //! ```
 
+use nalix_repro::relstore::Shredding;
+use nalix_repro::sqlq::{self, FromItem, PathAxis, Pred, Projection, Scalar, SqlCmp, SqlQuery};
 use nalix_repro::xmldb::datasets::dblp::{generate, DblpConfig};
 use nalix_repro::xquery::{Engine, EvalBudget};
 use std::sync::Arc;
@@ -37,9 +40,10 @@ fn mega_corpus_fits_memory_budget_and_answers_under_default_budget() {
 
     // Arena memory budget: the struct-of-arrays layout costs a known
     // ~56 bytes of column data per node; with the string heap, order
-    // table, postings and structural index the whole document must
-    // stay within 150 bytes/node — about 1.2 GB here, a fraction of
-    // what a pointer-per-node heap representation costs.
+    // table, postings and structural index (its pre-keyed parent and
+    // extent columns included) the whole document must stay within 150
+    // bytes/node — about 1.2 GB here, a fraction of what a
+    // pointer-per-node heap representation costs.
     let fp = doc.memory_footprint();
     let per_node = fp.total() as f64 / nodes as f64;
     assert!(
@@ -57,7 +61,8 @@ fn mega_corpus_fits_memory_budget_and_answers_under_default_budget() {
     // Representative workloads complete under the *default* budget —
     // the point of the columnar sweeps: a value-index point lookup and
     // the paper's selection query, at 100× the paper's corpus.
-    let engine = Engine::new(Arc::new(doc));
+    let doc = Arc::new(doc);
+    let engine = Engine::new(Arc::clone(&doc));
     let budget = EvalBudget::default();
 
     let hits = engine
@@ -79,6 +84,55 @@ fn mega_corpus_fits_memory_budget_and_answers_under_default_budget() {
         "selection should match a large result set, got {}",
         selection.len()
     );
+
+    // The same selection on the SQL backend, lowered as
+    // `nalix::backend::sql::lower` emits it. Its first question pays no
+    // shredding: the relational view borrows the document's own
+    // columns, so the footprint is unchanged by it and the per-node
+    // budget above holds with SQL in use.
+    let view = Shredding::build(&doc);
+    let limits = sqlq::ExecLimits {
+        max_tuples: Some(budget.max_tuples as u64),
+    };
+    let out = sqlq::execute(&view, &selection_sql(), &limits)
+        .expect("SQL selection completes under the default budget");
+    assert_eq!(out.strings(&view), engine.strings(&selection));
+    assert_eq!(
+        doc.memory_footprint(),
+        fp,
+        "a SQL question changed the document's footprint"
+    );
+    println!("scale_corpus: {per_node:.1} B/node over {nodes} nodes with SQL in use");
+}
+
+/// The SQL lowering of the selection question above: books published
+/// by Addison-Wesley after 1991, returning each one's title and year.
+fn selection_sql() -> SqlQuery {
+    let child = |label: &str| Scalar::Nodes {
+        alias: "b".to_string(),
+        axis: PathAxis::Child,
+        labels: vec![label.to_string()],
+    };
+    SqlQuery {
+        projection: Projection::Columns(vec![child("title"), child("year")]),
+        from: vec![FromItem {
+            alias: "b".to_string(),
+            labels: vec!["book".to_string()],
+        }],
+        preds: vec![
+            Pred::Cmp {
+                op: SqlCmp::Eq,
+                lhs: child("publisher"),
+                rhs: Scalar::Str("Addison-Wesley".to_string()),
+            },
+            Pred::Cmp {
+                op: SqlCmp::Gt,
+                lhs: child("year"),
+                rhs: Scalar::Num(1991.0),
+            },
+        ],
+        order_by: vec![],
+    }
 }
 
 /// Incremental-update benchmark at scale: 1,000 node-level edits
