@@ -54,10 +54,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// [`Nalix`](crate::Nalix)'s [`obs::MetricsRegistry`], so `hits` and
 /// `misses` always describe the same instant — the two reporting paths
 /// ([`Nalix::cache_stats`](crate::Nalix::cache_stats) and
-/// [`obs::MetricsSnapshot`]) can never disagree. With the `metrics`
-/// feature compiled out, hits and misses read as zero; `entries`,
-/// `capacity`, and `evictions` are tracked by the cache itself and stay
-/// live.
+/// [`obs::MetricsSnapshot`]) can never disagree. With recording
+/// switched off (`NALIX_OBS=off`), hits and misses read as zero;
+/// `entries`, `capacity`, and `evictions` are tracked by the cache
+/// itself and stay live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// The default backend whose keys new entries are filed under
@@ -394,8 +394,8 @@ mod tests {
         c.insert("a".to_owned(), rejected(), &metrics);
         c.insert("b".to_owned(), rejected(), &metrics);
         assert_eq!(c.evictions(), 1);
-        // The registry mirror only records when the metrics feature is
-        // compiled in and enabled; the local counter is always exact.
+        // The registry mirror only records while recording is
+        // enabled; the local counter is always exact.
         let expected = if metrics.is_enabled() { 1 } else { 0 };
         assert_eq!(
             metrics.snapshot().counter(obs::Counter::CacheEvictions),

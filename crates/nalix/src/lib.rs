@@ -730,9 +730,9 @@ impl Nalix {
     ///
     /// The hit/miss pair is read from a single atomic in the metrics
     /// registry — always mutually consistent, and always equal to what
-    /// [`Nalix::metrics`] reports. With the `metrics` feature compiled
-    /// out, hits and misses read as zero (entries, capacity, and
-    /// evictions are still live).
+    /// [`Nalix::metrics`] reports. With recording switched off
+    /// (`NALIX_OBS=off`), hits and misses read as zero (entries,
+    /// capacity, and evictions are still live).
     pub fn cache_stats(&self) -> CacheStats {
         let (hits, misses) = self.metrics.cache_counts();
         CacheStats {

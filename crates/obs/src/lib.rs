@@ -15,7 +15,7 @@
     )
 )]
 
-//! # obs — zero-cost-when-disabled pipeline observability
+//! # obs — pipeline observability
 //!
 //! NaLIX's evaluation (paper Sec. 5) is entirely per-stage: where
 //! queries fail (Table 7), and where time goes (Figs. 11–12). This
@@ -25,14 +25,11 @@
 //! plain-data [`MetricsSnapshot`] that can be merged across threads,
 //! diffed, pretty-printed, or dumped in Prometheus text format.
 //!
-//! Three off switches, from coarsest to finest:
+//! Two off switches, from coarsest to finest:
 //!
-//! 1. **Compile time** — build with `--no-default-features` (consumer
-//!    crates forward a `metrics` feature here) and every recording type
-//!    becomes a zero-sized no-op; spans do not even read the clock.
-//! 2. **Environment** — set `NALIX_OBS=off` (or `0`, `false`, `no`) and
+//! 1. **Environment** — set `NALIX_OBS=off` (or `0`, `false`, `no`) and
 //!    registries start disabled.
-//! 3. **Runtime** — [`MetricsRegistry::set_enabled`] flips one atomic.
+//! 2. **Runtime** — [`MetricsRegistry::set_enabled`] flips one atomic.
 //!
 //! ## Quick start
 //!
@@ -87,7 +84,6 @@ use std::fmt;
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// Map a duration in nanoseconds to its histogram bucket.
-#[cfg(any(test, feature = "enabled"))]
 fn bucket_index(ns: u64) -> usize {
     if ns == 0 {
         return 0;
@@ -377,9 +373,10 @@ pub enum Counter {
     /// Worker shards spawned for intra-query parallel FLWOR loops (one
     /// per chunk of a sharded binding-expansion or return loop).
     EvalShardSpawns,
-    /// Lowest-common-ancestor queries answered by `xmldb`.
+    /// Lowest-common-ancestor queries answered by `xmldb`'s
+    /// `Document::lca`.
     LcaQueries,
-    /// Level-ancestor (`child_toward`) queries answered by `xmldb`.
+    /// Path-child queries answered by `xmldb`'s `Document::child_toward`.
     ChildTowardQueries,
     /// Label-in-subtree range probes answered by `xmldb`.
     SubtreeProbes,
@@ -437,8 +434,8 @@ pub enum Counter {
     /// strategy).
     DocUpdates,
     /// Update batches whose index maintenance took the incremental
-    /// patch path (order splice + RMQ-table extension instead of a
-    /// from-scratch rebuild).
+    /// patch path (order splice + one stack pass over the spliced order
+    /// instead of a from-scratch rebuild).
     IndexPatches,
     /// Update batches whose index maintenance fell back to a
     /// from-scratch rebuild because the edit footprint was too large
@@ -1066,7 +1063,6 @@ impl fmt::Display for MetricsSnapshot {
 }
 
 /// True when `NALIX_OBS` asks for metrics to start disabled.
-#[cfg(feature = "enabled")]
 fn env_disabled() -> bool {
     match std::env::var("NALIX_OBS") {
         Ok(v) => matches!(
@@ -1077,15 +1073,8 @@ fn env_disabled() -> bool {
     }
 }
 
-#[cfg(feature = "enabled")]
 mod live;
-#[cfg(feature = "enabled")]
 pub use live::{count_hot, flush_hot, global, global_handle, MetricsRegistry, StageSpan};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{count_hot, flush_hot, global, global_handle, MetricsRegistry, StageSpan};
 
 #[cfg(test)]
 mod tests {

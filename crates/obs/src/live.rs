@@ -1,10 +1,10 @@
-//! The recording implementation, compiled under the `enabled` feature.
+//! The recording implementation.
 //!
 //! Everything here is wait-free on the write path: relaxed atomic
 //! increments into fixed-size arrays, a cache-line-sharded counter for
 //! the highest-frequency events, and a single packed atomic for the
 //! translation-cache hit/miss pair so the two can never be observed
-//! torn. The API is mirrored exactly by the no-op twin in `noop.rs`.
+//! torn.
 
 use crate::{
     bucket_index, env_disabled, Counter, MaxGauge, MetricsSnapshot, SpanOutcome, Stage,

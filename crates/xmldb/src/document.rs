@@ -3,13 +3,12 @@
 //! Nodes live in a columnar node arena (`arena::NodeArena`); this module
 //! owns the construction API (which keeps ids dense and every node
 //! attached), finalization (rank assignment, document-order table,
-//! label postings, structural index) and the lookup surface the query
-//! layers consume.
+//! label postings, the pre-keyed parent and extent columns) and the
+//! lookup surface the query layers consume.
 
 use crate::arena::{link, NodeArena, NIL};
 use crate::interner::{Interner, Symbol};
 use crate::node::{Node, NodeId, NodeKind};
-use crate::structindex::StructIndex;
 
 /// Reserved label for text nodes.
 pub const TEXT_LABEL: &str = "#text";
@@ -45,9 +44,14 @@ pub struct Document {
     /// Document-order table: `order[r]` is the arena index of the node
     /// with pre-order rank `r`. Subtree iteration is a slice of this.
     pub(crate) order: Vec<u32>,
-    /// Euler-tour/depth structural index (O(1) LCA, O(log n) level
-    /// ancestors); built by [`Document::finalize`].
-    pub(crate) struct_index: Option<StructIndex>,
+    /// Pre-keyed parent column, one half of the structural index: entry
+    /// `r` is the pre rank of the parent of the node at pre rank `r`
+    /// ([`NIL`] for the root).
+    pub(crate) parent_pre: Vec<u32>,
+    /// Pre-keyed extent column, the other half: entry `r` is the largest
+    /// pre rank inside the subtree of the node at pre rank `r`, so that
+    /// subtree is the interval `[r, subtree_hi[r]]`.
+    pub(crate) subtree_hi: Vec<u32>,
     finalized: bool,
 }
 
@@ -64,7 +68,8 @@ impl Document {
             root,
             postings: Vec::new(),
             order: Vec::new(),
-            struct_index: None,
+            parent_pre: Vec::new(),
+            subtree_hi: Vec::new(),
             finalized: false,
         }
     }
@@ -244,22 +249,21 @@ impl Document {
     }
 
     /// Assign pre/post-order ranks and depths, build the document-order
-    /// table, the label postings and the structural index.
+    /// table, the label postings and the pre-keyed parent and extent
+    /// columns.
     ///
     /// Idempotent; must be called before querying. All the navigation in
     /// [`crate::axes`] that relies on ranks will panic (in debug builds)
     /// on an unfinalized document.
     pub fn finalize(&mut self) {
-        // Iterative DFS assigning pre ranks and depths on entry and
-        // recording the entry sequence as the document-order table; the
-        // structural index pass below assigns post ranks.
+        // Iterative DFS assigning depths on entry and recording the
+        // entry sequence as the document-order table.
         let n = self.arena.len();
         let mut order: Vec<u32> = Vec::with_capacity(n);
         let mut stack: Vec<u32> = vec![self.root.0];
         let mut scratch: Vec<u32> = Vec::new();
         while let Some(i) = stack.pop() {
             let iu = i as usize;
-            self.arena.pre[iu] = order.len() as u32;
             // Parents are entered before their children, so the parent's
             // depth is already assigned.
             self.arena.depth[iu] = match self.arena.parent[iu] {
@@ -277,19 +281,59 @@ impl Document {
             }
             stack.extend(scratch.iter().rev());
         }
+        self.adopt_order(order);
+    }
+
+    /// Make `order` the document order: the last step of both
+    /// [`Document::finalize`] and an update's patch commit. Assigns pre
+    /// ranks from it, derives post ranks and the pre-keyed parent and
+    /// extent columns in one stack pass over it, and refills the label
+    /// postings. `arena.depth` must be correct for every node in
+    /// `order`.
+    pub(crate) fn adopt_order(&mut self, order: Vec<u32>) {
+        let arena = &mut self.arena;
+        for (rank, &i) in order.iter().enumerate() {
+            arena.pre[i as usize] = rank as u32;
+        }
+        let live = order.len();
+        let mut parent_pre = vec![NIL; live];
+        let mut subtree_hi = vec![0u32; live];
+        // Pre-order with depths is a complete tree encoding: a node's
+        // subtree ends right before the next node at its depth or
+        // shallower. Closing a node assigns its post rank (pops cascade
+        // bottom-up, which is exactly post order). After the pops the
+        // stack top is the next node's parent. A `None` past the last
+        // rank closes every node still open.
+        let mut stack: Vec<u32> = Vec::new();
+        let mut post = 0u32;
+        let ranked = order.iter().map(|&v| Some((v, arena.depth[v as usize])));
+        for (rank, next) in ranked.chain([None]).enumerate() {
+            while let Some(&top) = stack.last() {
+                let tu = top as usize;
+                if next.is_some_and(|(_, dv)| arena.depth[tu] < dv) {
+                    break;
+                }
+                stack.pop();
+                arena.post[tu] = post;
+                post += 1;
+                subtree_hi[arena.pre[tu] as usize] = (rank - 1) as u32;
+            }
+            let Some((v, _)) = next else { break };
+            if let Some(&p) = stack.last() {
+                parent_pre[rank] = arena.pre[p as usize];
+            }
+            stack.push(v);
+        }
+        self.parent_pre = parent_pre;
+        self.subtree_hi = subtree_hi;
         self.order = order;
         self.rebuild_postings();
-
-        // Structural index over the rank-annotated tree: O(1) LCA via
-        // Euler-tour RMQ, O(log n) level ancestors via binary lifting,
-        // and the pre-keyed parent and extent columns.
-        self.struct_index = Some(StructIndex::from_order(&mut self.arena, &self.order, None));
         self.finalized = true;
     }
 
     /// Label postings in document (pre) order — one pass over the
     /// order table fills every label's ids and pres columns sorted.
-    pub(crate) fn rebuild_postings(&mut self) {
+    fn rebuild_postings(&mut self) {
         let mut postings: Vec<Postings> = vec![Postings::default(); self.interner.len()];
         for &i in &self.order {
             let p = &mut postings[self.arena.labels[i as usize].index()];
@@ -312,26 +356,6 @@ impl Document {
         self.finalize();
     }
 
-    /// Patch path of the update subsystem: adopt an already-spliced
-    /// document order. Assigns pre ranks from the order, derives
-    /// post ranks and the structural index in one pass over it
-    /// ([`StructIndex::from_order`]), and refills the label postings.
-    /// Falls back to full refinalization if no prior index exists.
-    pub(crate) fn apply_patch(&mut self, order: Vec<u32>) {
-        let Some(prior) = self.struct_index.take() else {
-            self.refinalize();
-            return;
-        };
-        for (rank, &i) in order.iter().enumerate() {
-            self.arena.pre[i as usize] = rank as u32;
-        }
-        let ix = StructIndex::from_order(&mut self.arena, &order, Some(prior));
-        self.struct_index = Some(ix);
-        self.order = order;
-        self.rebuild_postings();
-        self.finalized = true;
-    }
-
     /// Arena index of the node at pre-order rank `pre`; `None` when the
     /// rank is out of range or the document is not finalized.
     #[inline]
@@ -344,9 +368,7 @@ impl Document {
     /// entry per live node; empty before finalization.
     #[inline]
     pub fn parent_pres(&self) -> &[u32] {
-        self.struct_index
-            .as_ref()
-            .map_or(&[], StructIndex::parent_pres)
+        &self.parent_pre
     }
 
     /// The pre-keyed extent column: entry `p` is the largest pre rank
@@ -355,7 +377,7 @@ impl Document {
     /// finalization.
     #[inline]
     pub fn extents(&self) -> &[u32] {
-        self.struct_index.as_ref().map_or(&[], StructIndex::extents)
+        &self.subtree_hi
     }
 
     /// The ascending pre ranks of the nodes labelled `sym` (the label
@@ -425,7 +447,7 @@ impl Document {
                 self.arena.value(i).unwrap_or_default().to_owned()
             }
             NodeKind::Element => {
-                if self.struct_index.is_none() {
+                if !self.finalized {
                     // Unfinalized: no order table yet, walk the links.
                     let mut out = String::new();
                     self.collect_text_walk(id, &mut out);
@@ -493,12 +515,10 @@ impl Document {
                         };
                     }
                 }
-                if self.struct_index.is_some() {
-                    if let Some(one) = self.sole_subtree_text(id) {
-                        return Cow::Borrowed(one);
-                    }
+                match self.sole_subtree_text(id) {
+                    Some(one) => Cow::Borrowed(one),
+                    None => Cow::Owned(self.string_value(id)),
                 }
-                Cow::Owned(self.string_value(id))
             }
         }
     }
@@ -549,11 +569,9 @@ impl Document {
     /// Iterator over the text contents inside the subtree of `id`
     /// (an element), in document order. Empty on unfinalized documents.
     fn subtree_texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
-        let range = match &self.struct_index {
-            Some(ix) => {
-                let lo = self.arena.pre[id.index()];
-                lo as usize..ix.subtree_hi(lo) as usize + 1
-            }
+        let lo = self.arena.pre[id.index()];
+        let range = match self.subtree_hi.get(lo as usize) {
+            Some(&hi) => lo as usize..hi as usize + 1,
             None => 0..0,
         };
         self.order[range].iter().filter_map(|&i| {
@@ -649,7 +667,8 @@ impl Document {
                 .iter()
                 .map(|p| (p.ids.len() + p.pres.len()) * std::mem::size_of::<u32>())
                 .sum(),
-            struct_index: self.struct_index.as_ref().map_or(0, StructIndex::bytes),
+            struct_index: (self.parent_pre.len() + self.subtree_hi.len())
+                * std::mem::size_of::<u32>(),
         }
     }
 }
@@ -688,8 +707,9 @@ pub struct MemoryFootprint {
     pub doc_order: usize,
     /// Per-label postings (ids + pre ranks).
     pub label_postings: usize,
-    /// Euler tour, sparse RMQ table, binary-lifting table, and the
-    /// pre-keyed parent and extent columns.
+    /// The structural index: the pre-keyed parent and extent columns
+    /// ([`Document::parent_pres`], [`Document::extents`]), 8 bytes per
+    /// live node.
     pub struct_index: usize,
 }
 
@@ -987,7 +1007,7 @@ mod tests {
         );
         assert_eq!(f.doc_order, d.len() * 4);
         assert!(f.label_postings > 0);
-        assert!(f.struct_index > 0);
+        assert_eq!(f.struct_index, 8 * d.stats().total_nodes());
         assert_eq!(
             f.total(),
             f.node_columns + f.string_heap + f.doc_order + f.label_postings + f.struct_index

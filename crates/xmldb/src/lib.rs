@@ -34,9 +34,13 @@
 //! view [`Node`] from the columns; hot loops use the single-column
 //! accessors ([`Document::pre`], [`Document::kind`], …) instead. After
 //! [`Document::finalize`] every node additionally carries its **pre-order**
-//! and **post-order** rank and its depth, which makes ancestor tests O(1)
-//! and lowest-common-ancestor (LCA) computation O(depth) — the primitives
-//! the `mqf()` (meaningful query focus) implementation is built on.
+//! and **post-order** rank and its depth, and the document holds two
+//! pre-keyed columns — each node's parent and the end of its subtree
+//! ([`Document::parent_pres`], [`Document::extents`]). Ranks make
+//! ancestor tests O(1); one climb over the two columns
+//! ([`axes::lca_pre`], [`axes::child_toward_pre`]) finds a lowest common
+//! ancestor (LCA) and its path children in O(depth) — the primitives the
+//! `mqf()` (meaningful query focus) implementation is built on.
 //!
 //! ## Quick start
 //!
@@ -57,7 +61,7 @@
 //! - [`document`] — the document arena, builder API, and label index.
 //! - [`xml`] — XML text parsing and serialisation.
 //! - [`axes`] — navigation (ancestors, descendants, children), subtree
-//!   containment, and LCA.
+//!   containment, and the pre-rank climb behind LCA and MLCA.
 //! - [`datasets`] — the evaluation datasets: the movies database of the
 //!   paper's Figure 1, a seeded DBLP-shaped generator, and the W3C XMP
 //!   `bib.xml` sample.
@@ -76,7 +80,6 @@ pub mod datasets;
 pub mod document;
 pub mod interner;
 pub mod node;
-pub(crate) mod structindex;
 pub mod update;
 pub mod xml;
 

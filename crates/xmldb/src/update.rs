@@ -25,9 +25,9 @@
 //!    emit inserted subtrees at their anchors) — no re-traversal;
 //! 2. a deleted subtree is a contiguous range of *old* pre ranks, so
 //!    deletions are range skips;
-//! 3. survivors keep their parents and depths, so the binary-lifting
-//!    ancestor table of the prior index stays valid row-for-row and
-//!    only grows a tail for appended nodes.
+//! 3. survivors keep their parents and depths, so only appended nodes
+//!    need a depth, and one stack pass over the spliced order derives
+//!    every rank-keyed column.
 //!
 //! ## Commit strategies
 //!
@@ -36,14 +36,12 @@
 //! as distinct `index_patch` / `index_rebuild` spans):
 //!
 //! - [`CommitStrategy::Patch`] — the incremental path: splice the
-//!   order table, then derive the Euler tour, first occurrences, the
-//!   pre-keyed parent and extent columns *and* post ranks in a single
-//!   stack pass over the spliced order (pre-order plus depths is a
-//!   complete tree encoding), rebuild only the linear RMQ block
-//!   tables, extend the lifting table, and refill the label postings
-//!   in one pass. No re-parse, no link-chasing DFS, and the
-//!   catalog/value-index layers above receive a [`ValueOp`] delta plus
-//!   a dirty-label set instead of rebuilding from scratch.
+//!   order table, then derive the pre-keyed parent and extent columns
+//!   *and* post ranks in a single stack pass over the spliced order
+//!   (pre-order plus depths is a complete tree encoding), and refill
+//!   the label postings in one pass. No re-parse, no link-chasing DFS,
+//!   and the catalog/value-index layers above receive a [`ValueOp`]
+//!   delta plus a dirty-label set instead of rebuilding from scratch.
 //! - [`CommitStrategy::Rebuild`] — when an edit batch touches more
 //!   than a quarter of the live nodes the bookkeeping outweighs the
 //!   saving; commit falls back to re-running finalization over the
@@ -659,11 +657,10 @@ impl PendingUpdate {
         // ranks — detaching is enough, the aliveness filter at commit
         // drops their insert records.
         if t < self.old_len {
-            let Some(ix) = &self.doc.struct_index else {
+            let lo = self.doc.arena.pre[t];
+            let Some(&hi) = self.doc.subtree_hi.get(lo as usize) else {
                 return Err(UpdateError::NotFinalized);
             };
-            let lo = self.doc.arena.pre[t];
-            let hi = ix.subtree_hi(lo);
             self.deleted_ranges.push((lo, hi));
         }
         self.doc.arena.detach(target);
@@ -798,10 +795,12 @@ impl PendingUpdate {
                 s = self.doc.arena.prev_sibling[s as usize];
             }
             let q = if s != NIL {
-                match &self.doc.struct_index {
-                    Some(ix) => ix.subtree_hi(self.doc.arena.pre[s as usize]),
-                    None => self.doc.arena.pre[s as usize],
-                }
+                let pre = self.doc.arena.pre[s as usize];
+                self.doc
+                    .subtree_hi
+                    .get(pre as usize)
+                    .copied()
+                    .unwrap_or(pre)
             } else {
                 let p = self.doc.arena.parent[i];
                 self.doc.arena.pre[p as usize]
@@ -859,7 +858,7 @@ impl PendingUpdate {
             }
         }
 
-        self.doc.apply_patch(new_order);
+        self.doc.adopt_order(new_order);
     }
 }
 
@@ -909,8 +908,8 @@ mod tests {
                 "descendant count at pre {pre}"
             );
         }
-        // LCA probes through the patched Euler-tour RMQ agree with the
-        // rebuilt index for every pair of label heads.
+        // LCA climbs over the patched columns agree with the rebuilt
+        // document for every pair of label heads.
         let heads: Vec<u32> = oracle
             .labels()
             .iter()
@@ -1223,5 +1222,62 @@ mod tests {
     fn unfinalized_documents_refuse_updates() {
         let d = Document::new("r");
         assert!(matches!(d.begin_update(), Err(UpdateError::NotFinalized)));
+    }
+
+    /// Patch against rebuild on the same edit batch at paper scale: a
+    /// title rewrite plus a leaf insert (the `update-patch` row of
+    /// `eval_perf`), committed once through each strategy, which must
+    /// agree on the columns. Prints median and quartiles of each; run
+    /// with `cargo test --release -p xmldb --lib commit_strategies --
+    /// --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing at paper scale; run with --ignored --nocapture"]
+    fn commit_strategies_at_paper_scale() {
+        use crate::datasets::dblp::{generate, DblpConfig};
+        use std::time::{Duration, Instant};
+        let doc = generate(&DblpConfig::default());
+        let titles = doc.nodes_labeled("title");
+        let batch = |i: usize| {
+            let title = titles[(i * 7919) % titles.len()];
+            let mut up = doc.begin_update().unwrap();
+            let text = doc.first_child(title).unwrap();
+            up.apply(&Edit::ReplaceValue {
+                target: text,
+                value: format!("Rewritten Title {i}"),
+            })
+            .unwrap();
+            let node = NewNode::Leaf {
+                label: "note".into(),
+                text: format!("bench edit {i}"),
+            };
+            let parent = doc.parent(title).unwrap();
+            up.apply(&Edit::InsertChild { parent, node }).unwrap();
+            up
+        };
+        let (mut patch, mut rebuild) = (Vec::new(), Vec::new());
+        for i in 0..41 {
+            let up = batch(i);
+            let t = Instant::now();
+            let (patched, stats) = up.commit();
+            patch.push(t.elapsed());
+            assert_eq!(stats.strategy, CommitStrategy::Patch);
+            let mut up = batch(i);
+            let t = Instant::now();
+            up.doc.refinalize();
+            rebuild.push(t.elapsed());
+            assert_eq!(patched.parent_pres(), up.doc.parent_pres());
+            assert_eq!(patched.extents(), up.doc.extents());
+        }
+        let quartiles = |v: &mut Vec<Duration>| {
+            v.sort_unstable();
+            let ms = |q: usize| v[q * (v.len() - 1) / 4].as_secs_f64() * 1e3;
+            format!("p50 {:.3} ms (q1 {:.3}, q3 {:.3})", ms(2), ms(1), ms(3))
+        };
+        println!(
+            "commit over {} nodes: patch {}; rebuild {}",
+            doc.stats().total_nodes(),
+            quartiles(&mut patch),
+            quartiles(&mut rebuild)
+        );
     }
 }

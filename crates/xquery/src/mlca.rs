@@ -29,14 +29,13 @@
 //! [`related_pres`] is the only implementation of the pairwise test.
 //! It works on pre ranks and reads nothing but the document's pre-keyed
 //! parent and extent columns ([`xmldb::Document::parent_pres`],
-//! [`xmldb::Document::extents`]) and the postings: the LCA is found by
-//! climbing parents from `a` until the extent covers `b`. The XQuery
-//! engine reaches it through [`meaningfully_related`] and the partner
-//! enumeration; the SQL executor (crate `sqlq`) calls it on its pre-rank
-//! rows. Parent walks are O(depth), which on these shallow documents is
-//! cheaper than the O(1)-but-scattered Euler-tour RMQ and binary
-//! lifting of [`xmldb::Document::lca`] and
-//! [`xmldb::Document::child_toward`].
+//! [`xmldb::Document::extents`]) and the postings. The LCA and both
+//! path children come from `xmldb`'s pre-rank climb
+//! ([`xmldb::axes::lca_pre`], [`xmldb::axes::child_toward_pre`]), the
+//! same two functions behind [`xmldb::Document::lca`] and
+//! [`xmldb::Document::child_toward`]. The XQuery engine reaches the test
+//! through [`meaningfully_related`] and the partner enumeration; the SQL
+//! executor (crate `sqlq`) calls it on its pre-rank rows.
 //!
 //! ### Consequences (all covered by tests below)
 //!
@@ -51,10 +50,8 @@
 //! A set of nodes is meaningfully related iff all its unordered pairs
 //! are — the n-way `mqf($v1 … $vn)` used in translated queries.
 
+use xmldb::axes::{child_toward_pre, lca_pre};
 use xmldb::{Document, NodeId, SubtreeProbeCursor};
-
-/// The parent-column entry of the root.
-const NO_PARENT: u32 = u32::MAX;
 
 /// Is the pair `(a, b)` meaningfully related under MLCA semantics?
 ///
@@ -76,26 +73,12 @@ pub fn related_pres(doc: &Document, a: u32, b: u32, probe: &mut PartnerProbe) ->
         return true;
     }
     let (parent, extent) = (doc.parent_pres(), doc.extents());
-    let up = |p: u32| parent.get(p as usize).copied().unwrap_or(NO_PARENT);
+    // `c` is the LCA and `ca` is `a`'s path child below it.
+    let Some((c, ca)) = lca_pre(parent, extent, a, b) else {
+        return false;
+    };
+    let cb = child_toward_pre(parent, c, b);
     let hi = |p: u32| extent.get(p as usize).copied().unwrap_or(p);
-    // Climb from `a` until the subtree covers `b`: that is `c`, and the
-    // last node passed on the way is `a`'s path child.
-    let (mut c, mut ca) = (a, None);
-    while !(c <= b && b <= hi(c)) {
-        match up(c) {
-            NO_PARENT => return false,
-            p => (ca, c) = (Some(c), p),
-        }
-    }
-    // `b`'s path child: climb from `b` to just below `c`.
-    let mut cb = (b != c).then_some(b);
-    while let Some(x) = cb {
-        match up(x) {
-            p if p == c => break,
-            NO_PARENT => cb = None,
-            p => cb = Some(p),
-        }
-    }
     let postings_of = |p: u32| doc.node_at_pre(p).map(|n| doc.label_pres(doc.label_sym(n)));
     // Probe the b-side: a node labelled like `a` strictly below `c`
     // towards `b` would be nearer to `b` than `a` is.

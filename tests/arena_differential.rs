@@ -296,16 +296,22 @@ proptest! {
     }
 
     // -----------------------------------------------------------------
-    // LCA: the indexed (Euler-tour RMQ) answer equals the link walk.
+    // LCA: the climb over the pre-keyed columns equals the first common
+    // node of the two link-walked ancestor chains.
     // -----------------------------------------------------------------
 
     #[test]
     fn indexed_lca_matches_link_walk(spec in tree_strategy()) {
         let doc = build(&spec);
         let nodes = all_nodes(&doc);
+        let chain = |n: NodeId| -> Vec<NodeId> {
+            std::iter::once(n).chain(doc.ancestors(n)).collect()
+        };
         for &a in nodes.iter().step_by(2) {
             for &b in nodes.iter().step_by(3) {
-                prop_assert_eq!(doc.lca(a, b), doc.lca_walk(a, b), "lca({a},{b})");
+                let on_b = chain(b);
+                let oracle = chain(a).into_iter().find(|x| on_b.contains(x));
+                prop_assert_eq!(Some(doc.lca(a, b)), oracle, "lca({a},{b})");
             }
         }
     }

@@ -64,15 +64,38 @@ fn build(spec: &TreeSpec) -> Document {
     doc
 }
 
+/// `id` and its ancestors, nearest first, over the arena's link column:
+/// the definition oracles below share no code with the pre-rank climb.
+fn chain(doc: &Document, id: NodeId) -> Vec<NodeId> {
+    std::iter::once(id).chain(doc.ancestors(id)).collect()
+}
+
+/// LCA by definition: the first node of `a`'s chain on `b`'s chain.
+fn lca_oracle(doc: &Document, a: NodeId, b: NodeId) -> NodeId {
+    let on_b = chain(doc, b);
+    chain(doc, a)
+        .into_iter()
+        .find(|x| on_b.contains(x))
+        .expect("nodes of one document share the root")
+}
+
+/// Path child by definition: the node of `desc`'s chain whose parent is
+/// `anc`.
+fn child_toward_oracle(doc: &Document, anc: NodeId, desc: NodeId) -> Option<NodeId> {
+    chain(doc, desc)
+        .into_iter()
+        .find(|&x| doc.parent(x) == Some(anc))
+}
+
 /// MLCA straight from the paper's definition (Sec. 2), by brute force
-/// over parent walks: `(a, b)` is *not* meaningful when some `a'` with
-/// `a`'s label has `lca(a', b)` strictly below `lca(a, b)`, or some `b'`
-/// with `b`'s label has `lca(a, b')` strictly below it.
+/// over ancestor chains: `(a, b)` is *not* meaningful when some `a'`
+/// with `a`'s label has `lca(a', b)` strictly below `lca(a, b)`, or some
+/// `b'` with `b`'s label has `lca(a, b')` strictly below it.
 fn mlca_oracle(doc: &Document, a: NodeId, b: NodeId) -> bool {
-    let c = doc.lca_walk(a, b);
+    let c = lca_oracle(doc, a, b);
     let blocked = |like: NodeId, other: NodeId| {
         (0..doc.len()).map(NodeId::from_index).any(|x| {
-            doc.label(x) == doc.label(like) && doc.is_proper_ancestor(c, doc.lca_walk(x, other))
+            doc.label(x) == doc.label(like) && doc.is_proper_ancestor(c, lca_oracle(doc, x, other))
         })
     };
     !blocked(a, b) && !blocked(b, a)
@@ -144,12 +167,11 @@ proptest! {
     }
 
     // -----------------------------------------------------------------
-    // Structural index vs parent-walk oracles
+    // Structural index vs definition oracles
     //
-    // `finalize` builds an Euler-tour RMQ / binary-lifting index that
-    // answers LCA and level-ancestor queries without touching parent
-    // pointers; the original walks survive as `*_walk` and serve as the
-    // oracle here, over every node pair of random trees.
+    // `finalize` builds the pre-keyed parent and extent columns, and
+    // `lca`/`child_toward` climb them; the oracles walk the arena's
+    // link column by definition, over every node pair of random trees.
     // -----------------------------------------------------------------
 
     #[test]
@@ -158,7 +180,7 @@ proptest! {
         let all: Vec<NodeId> = (0..doc.len()).map(NodeId::from_index).collect();
         for &a in &all {
             for &b in &all {
-                prop_assert_eq!(doc.lca(a, b), doc.lca_walk(a, b), "lca({:?},{:?})", a, b);
+                prop_assert_eq!(doc.lca(a, b), lca_oracle(&doc, a, b), "lca({:?},{:?})", a, b);
             }
         }
     }
@@ -171,27 +193,10 @@ proptest! {
             for &b in &all {
                 prop_assert_eq!(
                     doc.child_toward(a, b),
-                    doc.child_toward_walk(a, b),
+                    child_toward_oracle(&doc, a, b),
                     "child_toward({:?},{:?})", a, b
                 );
             }
-        }
-    }
-
-    #[test]
-    fn ancestor_at_depth_matches_ancestor_walk(spec in tree_strategy()) {
-        let doc = build(&spec);
-        for n in (0..doc.len()).map(NodeId::from_index) {
-            let own = doc.node(n).depth;
-            // The ancestor chain, nearest first, gives the oracle for
-            // every shallower depth; the node itself covers `own`.
-            let mut chain: Vec<NodeId> = vec![n];
-            chain.extend(doc.ancestors(n));
-            for (steps, &anc) in chain.iter().enumerate() {
-                let depth = own - steps as u32;
-                prop_assert_eq!(doc.ancestor_at_depth(n, depth), Some(anc));
-            }
-            prop_assert_eq!(doc.ancestor_at_depth(n, own + 1), None);
         }
     }
 

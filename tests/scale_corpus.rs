@@ -38,17 +38,17 @@ fn mega_corpus_fits_memory_budget_and_answers_under_default_budget() {
         "mega corpus should exceed 7M nodes, got {nodes}"
     );
 
-    // Arena memory budget: the struct-of-arrays layout costs a known
-    // ~56 bytes of column data per node; with the string heap, order
-    // table, postings and structural index (its pre-keyed parent and
-    // extent columns included) the whole document must stay within 150
-    // bytes/node — about 1.2 GB here, a fraction of what a
-    // pointer-per-node heap representation costs.
+    // Arena memory budget: the struct-of-arrays layout costs 45.0
+    // bytes of column data per node; with the string heap, order
+    // table, postings and the structural index (8 bytes per node: the
+    // pre-keyed parent and extent columns) the whole document must
+    // stay within 80 bytes/node — about 0.6 GB here, a fraction of what
+    // a pointer-per-node heap representation costs.
     let fp = doc.memory_footprint();
     let per_node = fp.total() as f64 / nodes as f64;
     assert!(
-        per_node < 150.0,
-        "arena footprint {:.1} bytes/node exceeds the 150 B budget \
+        per_node < 80.0,
+        "arena footprint {:.1} bytes/node exceeds the 80 B budget \
          (columns {}, heap {}, order {}, postings {}, index {})",
         per_node,
         fp.node_columns,
