@@ -74,10 +74,11 @@
 //!
 //! Every pipeline stage is instrumented with the re-exported [`obs`]
 //! crate: stage spans (wall time + outcome), end-to-end query outcomes
-//! including cache-hit short-circuits, and engine work counters. Each
-//! `Nalix` records into its own isolated [`obs::MetricsRegistry`] by
-//! default; pass [`obs::global_handle()`] to [`Nalix::with_metrics`] to
-//! aggregate with the process-global `xmldb`/`nlparser` counters. See
+//! including cache-hit short-circuits, and engine work counters.
+//! [`Nalix::new`] records into a fresh [`obs::MetricsRegistry`], and a
+//! [`Nalix::successor`] keeps recording into its prior's; pass
+//! [`obs::global_handle()`] to [`Nalix::with_metrics`] to aggregate
+//! with the process-global `xmldb`/`nlparser` counters. See
 //! `docs/OBSERVABILITY.md` for the metric catalog.
 //!
 //! ```
@@ -267,10 +268,9 @@ impl Nalix {
     /// [`xmldb::CommitStrategy::Rebuild`] commits everything is rebuilt
     /// from scratch, exactly as [`Nalix::with_metrics`] would.
     ///
-    /// Either way the successor records into a *fresh* metrics registry
-    /// — exactly as a hot reload does — so registries stay one-to-one
-    /// with pipeline generations and the `store` crate's retire-and-fold
-    /// accounting stays monotone. It keeps the prior translation-cache
+    /// Either way the successor records into `prior`'s registry, so its
+    /// counts continue the prior's, and queries still running on `prior`
+    /// add to the same totals. It keeps the prior translation-cache
     /// capacity but starts with an empty memo table: the catalog
     /// changed, so stale translation outcomes must not survive.
     pub fn successor(
@@ -279,7 +279,7 @@ impl Nalix {
         stats: &xmldb::UpdateStats,
     ) -> Self {
         let doc = doc.into();
-        let metrics = std::sync::Arc::new(obs::MetricsRegistry::new());
+        let metrics = prior.metrics.clone();
         let (catalog, engine) = match stats.strategy {
             xmldb::CommitStrategy::Patch => {
                 let mut catalog = prior.catalog.clone();
@@ -730,9 +730,12 @@ impl Nalix {
     ///
     /// The hit/miss pair is read from a single atomic in the metrics
     /// registry — always mutually consistent, and always equal to what
-    /// [`Nalix::metrics`] reports. With recording switched off
-    /// (`NALIX_OBS=off`), hits and misses read as zero (entries,
-    /// capacity, and evictions are still live).
+    /// [`Nalix::metrics`] reports. A shared registry (a successor's, or
+    /// a `store` document's) counts the hits and misses of every
+    /// pipeline recording into it; entries, capacity and evictions are
+    /// this instance's. With recording switched off (`NALIX_OBS=off`),
+    /// hits and misses read as zero (entries, capacity, and evictions
+    /// are still live).
     pub fn cache_stats(&self) -> CacheStats {
         let (hits, misses) = self.metrics.cache_counts();
         CacheStats {
@@ -745,10 +748,11 @@ impl Nalix {
         }
     }
 
-    /// Snapshot of everything this instance has recorded: stage spans,
-    /// query outcomes, engine counters, cache counters — with the cache
-    /// entry gauge folded in. See [`obs::MetricsSnapshot`] for merging,
-    /// diffing, and rendering.
+    /// Snapshot of this instance's registry: stage spans, query
+    /// outcomes, engine counters, cache counters — with this instance's
+    /// cache entry gauge folded in. A shared registry also holds what
+    /// the other pipelines recording into it did. See
+    /// [`obs::MetricsSnapshot`] for merging, diffing, and rendering.
     pub fn metrics(&self) -> obs::MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.cache_entries = self.translations.len() as u64;
@@ -1092,6 +1096,30 @@ mod tests {
         // Evicted questions re-translate to the same replies.
         let second: Vec<_> = questions.iter().map(|q| nalix.ask(q).ok()).collect();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn successor_records_into_the_prior_registry() {
+        let prior = Nalix::new(movies());
+        prior.ask("Return every title.").unwrap();
+        let mut up = prior.doc().begin_update().unwrap();
+        up.apply(&xmldb::Edit::InsertChild {
+            parent: prior.doc().root(),
+            node: xmldb::NewNode::Leaf {
+                label: "note".into(),
+                text: "edited".into(),
+            },
+        })
+        .unwrap();
+        let (next, stats) = up.commit();
+        let successor = Nalix::successor(&prior, next, &stats);
+        assert!(std::sync::Arc::ptr_eq(
+            &prior.metrics_handle(),
+            &successor.metrics_handle()
+        ));
+        successor.ask("Return every title.").unwrap();
+        assert_eq!(prior.metrics().queries_total(), 2);
+        assert_eq!(successor.cache_stats().entries, 1);
     }
 
     #[test]

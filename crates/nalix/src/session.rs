@@ -211,9 +211,23 @@ const SCAFFOLD: [&str; 14] = [
 /// assert!(detect_follow_up("Return all books and their titles.").is_none());
 /// ```
 pub fn detect_follow_up(question: &str) -> Option<FollowUp> {
+    // Sentence punctuation is trimmed from the edges of each word, but
+    // never inside a quoted span: the `.` in "Jeffrey D. Ullman" is part
+    // of the value.
+    let punct = |c: char| ",.?!;:".contains(c);
+    let mut quoted = false;
     let words: Vec<&str> = question
         .split_whitespace()
-        .map(|w| w.trim_matches(|c: char| ",.?!;:".contains(c)))
+        .map(|w| {
+            let starts_quoted = quoted;
+            quoted ^= w.matches('"').count() % 2 == 1;
+            match (starts_quoted, quoted) {
+                (false, false) => w.trim_matches(punct),
+                (false, true) => w.trim_start_matches(punct),
+                (true, false) => w.trim_end_matches(punct),
+                (true, true) => w,
+            }
+        })
         .filter(|w| !w.is_empty())
         .collect();
     let lower: Vec<String> = words.iter().map(|w| w.to_lowercase()).collect();
@@ -825,6 +839,39 @@ mod tests {
         assert_eq!(f.fragment(), "by Suciu");
         let f = detect_follow_up("And what about by Suciu?").unwrap();
         assert_eq!(f.fragment(), "by Suciu");
+    }
+
+    #[test]
+    fn detect_keeps_quoted_values_intact() {
+        let f = detect_follow_up("Which of them were written by \"Jeffrey D. Ullman\"?").unwrap();
+        assert!(matches!(f, FollowUp::Refinement { .. }));
+        assert_eq!(f.fragment(), "written by \"Jeffrey D. Ullman\"");
+        // Punctuation outside the quotes is still trimmed.
+        let f = detect_follow_up("What about by \"J. D. Ullman\", \"A. V. Aho.\"?").unwrap();
+        assert_eq!(f.fragment(), "by \"J. D. Ullman\" \"A. V. Aho.\"");
+        let f = detect_follow_up("Of those, which are \"Ullman\".").unwrap();
+        assert_eq!(f.fragment(), "\"Ullman\"");
+    }
+
+    #[test]
+    fn quoted_initials_follow_up_matches_stacked_sentence() {
+        use xmldb::datasets::dblp::{generate, DblpConfig};
+        let n = Nalix::new(generate(&DblpConfig::small()));
+        let budget = EvalBudget::default();
+        let t1 = n.answer_turn("Find all the books.", None, &budget).unwrap();
+        let t2 = n
+            .answer_turn(
+                "Which of them were written by \"Jeffrey D. Ullman\"?",
+                Some(&t1.turn),
+                &budget,
+            )
+            .unwrap();
+        let oracle = n
+            .answer("Find all the books written by \"Jeffrey D. Ullman\".")
+            .unwrap();
+        assert!(!oracle.is_empty());
+        assert_eq!(t2.answer.values, oracle);
+        assert!(t2.resolution.is_some());
     }
 
     #[test]

@@ -170,8 +170,9 @@ pub struct ServeReport {
     /// Requests shed with 503: the queue was full at dispatch, or the
     /// connection cap was hit at accept.
     pub shed: u64,
-    /// Final merged metrics snapshot (store + every document, live and
-    /// retired), taken after the last worker exited.
+    /// Final metrics, taken after the last worker exited: the store's
+    /// registry merged with the process-global one, as `GET /metrics`
+    /// renders them.
     pub snapshot: obs::MetricsSnapshot,
 }
 
@@ -866,6 +867,9 @@ fn worker_loop(
                 ),
             ),
         };
+        // Hand this request's hot counts to the global registry before
+        // the client can see the reply, so a scrape after it counts them.
+        obs::flush_hot();
         {
             let mut done = completions.done.lock().unwrap_or_else(|e| e.into_inner());
             done.push(Done {
@@ -877,7 +881,6 @@ fn worker_loop(
         // unread wakeups, which serves the same purpose.
         let _ = (&completions.notify).write(&[1u8]);
     }
-    obs::flush_hot();
 }
 
 /// A bound-but-not-yet-serving nalixd server over a [`DocumentStore`].
@@ -986,18 +989,23 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        // The loop thread (this thread) counted admissions, sheds, and
-        // timeouts; flush its hot buffers so the final snapshot sees
-        // them.
-        obs::flush_hot();
         result?;
 
         Ok(ServeReport {
             served: served.load(Ordering::SeqCst),
             shed: event_loop.shed,
-            snapshot: self.store.snapshot(),
+            snapshot: metrics_snapshot(&self.store),
         })
     }
+}
+
+/// What `GET /metrics` and [`ServeReport::snapshot`] report: the store's
+/// registry, which every document's pipelines record into, merged with
+/// the process-global one, where `nlparser` and `xmldb` count.
+fn metrics_snapshot(store: &DocumentStore) -> obs::MetricsSnapshot {
+    let mut snap = store.snapshot();
+    snap.merge(&obs::global().snapshot());
+    snap
 }
 
 /// Writes the overload response on a just-accepted (still blocking)
@@ -1028,7 +1036,7 @@ fn route(req: &Request, ctx: &Ctx) -> Response {
             handle_health(&ctx.shared)
         }),
         ("GET", "/metrics") => with_span(&metrics, obs::Stage::HttpMetrics, || {
-            Response::text(200, ctx.store.snapshot().to_prometheus())
+            Response::text(200, metrics_snapshot(&ctx.store).to_prometheus())
         }),
         ("GET", "/docs") => with_span(&metrics, obs::Stage::HttpDocs, || {
             handle_docs_list(&ctx.store)
@@ -1865,4 +1873,19 @@ fn error_obj(code: &str, message: &str, suggestion: &str) -> Json {
         ("message".to_string(), Json::Str(message.to_string())),
         ("suggestion".to_string(), Json::Str(suggestion.to_string())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_merge_the_process_global_registry() {
+        let store = DocumentStore::with_builtins(store::StoreConfig::default());
+        let bib = store.get(None).unwrap();
+        bib.nalix().ask("Return every title.").unwrap();
+        // The parser counts only in the global registry.
+        assert_eq!(store.snapshot().counter(obs::Counter::ParsedSentences), 0);
+        assert!(metrics_snapshot(&store).counter(obs::Counter::ParsedSentences) >= 1);
+    }
 }

@@ -23,8 +23,9 @@
 //! / `dblp` generators plus arbitrary XML files — and keeps one fully
 //! wired pipeline per document: the parsed [`xmldb::Document`] with
 //! its structural index, the element/attribute catalog, a persistent
-//! `xquery` engine with its value index, a bounded translation cache,
-//! and an isolated per-document [`obs::MetricsRegistry`].
+//! `xquery` engine with its value index, and a bounded translation
+//! cache. Every pipeline records into the store's one
+//! [`obs::MetricsRegistry`].
 //!
 //! ## Snapshot semantics
 //!
@@ -35,18 +36,17 @@
 //! In-flight queries finish against whichever snapshot they observed —
 //! bit-identically to a process that only ever had that snapshot —
 //! while new requests see the new generation. Nothing is torn down
-//! under a reader: the old pipeline lives for as long as any request
-//! still holds its `Arc`.
+//! under a reader, and nothing is kept for anyone else: the store drops
+//! its `Arc` to a replaced or evicted pipeline, so that generation is
+//! freed by whichever holder lets go of it last.
 //!
 //! ## Counter accounting
 //!
-//! Each pipeline records into its own registry, so per-document load
-//! is directly observable. Evicting or replacing a document must not
-//! make the process totals go backwards, so retired pipelines are
-//! parked until their last in-flight reader drops, then folded into a
-//! retained base snapshot. [`DocumentStore::snapshot`] therefore is
-//! monotone: store-level counters + every live pipeline + everything
-//! ever retired.
+//! Every pipeline, of every document and generation, records into the
+//! store's registry. A request still running on a replaced generation
+//! records there too, so [`DocumentStore::snapshot`] is monotone across
+//! reloads, updates and evictions with nothing to fold. Per-document
+//! request counts are the slots' hit counters ([`DocumentStore::list`]).
 //!
 //! ## Capacity
 //!
@@ -111,7 +111,7 @@ impl Default for StoreConfig {
 }
 
 /// One immutable, fully wired pipeline snapshot: document + catalog +
-/// engine + translation cache + isolated metrics registry.
+/// engine + translation cache, recording into the store's registry.
 ///
 /// Obtained from [`DocumentStore::get`]; hold the `Arc` for the
 /// duration of one request and drop it. A snapshot outlives any
@@ -303,26 +303,16 @@ struct Slot {
     last_used: AtomicU64,
 }
 
-/// Retired pipelines and the folded totals of those fully quiesced.
-#[derive(Default)]
-struct Retired {
-    /// Counters of retired pipelines whose last reader has dropped.
-    base: obs::MetricsSnapshot,
-    /// Retired pipelines still (potentially) serving in-flight
-    /// requests; folded into `base` once uniquely held.
-    parked: Vec<Arc<DocPipeline>>,
-}
-
 /// A concurrent registry of named documents, each with its own NaLIX
 /// pipeline. See the crate docs for semantics; `Send + Sync`, designed
 /// to sit behind one `Arc` shared by every server worker.
 pub struct DocumentStore {
     config: StoreConfig,
     slots: RwLock<HashMap<String, Arc<Slot>>>,
-    /// Store-level registry: `store_*` spans and counters, plus the
-    /// HTTP-layer counters when a server fronts this store.
+    /// The one registry: `store_*` spans and counters, every pipeline's
+    /// stages and engine counters, plus the HTTP-layer counters when a
+    /// server fronts this store.
     metrics: Arc<obs::MetricsRegistry>,
-    retired: Mutex<Retired>,
     clock: AtomicU64,
 }
 
@@ -350,7 +340,6 @@ impl DocumentStore {
             config,
             slots: RwLock::new(HashMap::new()),
             metrics: Arc::new(obs::MetricsRegistry::new()),
-            retired: Mutex::new(Retired::default()),
             clock: AtomicU64::new(0),
         }
     }
@@ -376,8 +365,8 @@ impl DocumentStore {
         &self.config.default_doc
     }
 
-    /// The store-level metrics registry (`store_*` families; the HTTP
-    /// server also records its `http_*` counters here).
+    /// The store's metrics registry, shared by every pipeline it builds
+    /// (the HTTP server also records its `http_*` counters here).
     pub fn metrics_handle(&self) -> Arc<obs::MetricsRegistry> {
         Arc::clone(&self.metrics)
     }
@@ -417,20 +406,15 @@ impl DocumentStore {
         }
         // Cold: build once, whoever gets here first.
         let guard = lock(&slot.loading);
-        if let Some(p) = read(&slot.pipeline).clone() {
-            return Ok(p); // another thread built it while we waited
-        }
-        let pipeline = self.build_spanned(&slot, obs::Stage::StoreLoad)?;
-        self.metrics.add(obs::Counter::StoreLoads, 1);
-        *write(&slot.pipeline) = Some(Arc::clone(&pipeline));
+        let pipeline = self.load_locked(&slot);
         drop(guard);
         self.shrink_to_capacity();
-        Ok(pipeline)
+        pipeline
     }
 
     /// Loads (or hot-reloads) `name` from `spec` and atomically
     /// publishes the new pipeline. In-flight readers keep their old
-    /// snapshot; its counters are retired, never lost.
+    /// snapshot, and the last of them frees it.
     pub fn put(&self, name: &str, spec: DocSpec) -> Result<PutReport, StoreError> {
         validate_name(name)?;
         let slot = {
@@ -451,13 +435,14 @@ impl DocumentStore {
         };
         let pipeline = self.build_spanned(&slot, stage)?;
         let old = write(&slot.pipeline).replace(Arc::clone(&pipeline));
-        if let Some(old) = old {
-            self.retire(old);
-            self.metrics.add(obs::Counter::StoreReloads, 1);
+        let counter = if old.is_some() {
+            obs::Counter::StoreReloads
         } else {
-            self.metrics.add(obs::Counter::StoreLoads, 1);
-        }
+            obs::Counter::StoreLoads
+        };
+        self.metrics.add(counter, 1);
         drop(guard);
+        drop(old);
         self.shrink_to_capacity();
         Ok(PutReport { pipeline, reloaded })
     }
@@ -515,21 +500,8 @@ impl DocumentStore {
         // Cold slots load lazily, exactly as `get` would, before the
         // edits apply — an update addresses the document, not whatever
         // happens to be resident.
-        // Bind the resident read *before* matching: a `match` scrutinee
-        // temporary lives to the end of the match, and the cold arm
-        // needs the write half of the same lock.
-        let resident = read(&slot.pipeline).clone();
-        let current = match resident {
-            Some(p) => p,
-            None => {
-                let pipeline = self.build_spanned(&slot, obs::Stage::StoreLoad)?;
-                self.metrics.add(obs::Counter::StoreLoads, 1);
-                *write(&slot.pipeline) = Some(Arc::clone(&pipeline));
-                pipeline
-            }
-        };
-        if let Some(expected) = expected_generation {
-            if expected != current.generation() {
+        let report = self.load_locked(&slot).and_then(|current| {
+            if let Some(expected) = expected_generation.filter(|&g| g != current.generation()) {
                 self.metrics.add(obs::Counter::UpdateConflicts, 1);
                 return Err(StoreError::Conflict {
                     name: name.to_string(),
@@ -537,19 +509,20 @@ impl DocumentStore {
                     actual: current.generation(),
                 });
             }
-        }
-        let mut span = self.metrics.span(obs::Stage::StoreUpdate);
-        match self.apply_update(&slot, &current, name, edits) {
-            Ok(report) => {
-                span.set_outcome(obs::SpanOutcome::Ok);
-                drop(guard);
-                Ok(report)
-            }
-            Err(e) => {
-                span.set_outcome(obs::SpanOutcome::ValidateError);
-                Err(e)
-            }
-        }
+            let mut span = self.metrics.span(obs::Stage::StoreUpdate);
+            let report = self.apply_update(&slot, &current, name, edits);
+            span.set_outcome(match report {
+                Ok(_) => obs::SpanOutcome::Ok,
+                Err(_) => obs::SpanOutcome::ValidateError,
+            });
+            report
+        });
+        drop(guard);
+        // A cold load can push the store over capacity. Shrink only
+        // after the guard is released: with `max_resident: 1` the victim
+        // can be this very slot.
+        self.shrink_to_capacity();
+        report
     }
 
     /// The update work itself, under the slot's writer lock and the
@@ -599,15 +572,15 @@ impl DocumentStore {
             stats: doc_stats,
             nalix,
         });
-        if let Some(old) = write(&slot.pipeline).replace(Arc::clone(&pipeline)) {
-            self.retire(old);
-        }
+        // The replaced `Arc` is dropped after the write guard; the caller
+        // still holds `current`, so the old generation outlives this call.
+        let _old = write(&slot.pipeline).replace(Arc::clone(&pipeline));
         self.metrics.add(obs::Counter::DocUpdates, 1);
         Ok(UpdateReport { pipeline, stats })
     }
 
     /// Removes `name` from the registry entirely: the pipeline (if
-    /// resident) is retired and later [`DocumentStore::get`] calls
+    /// resident) is dropped and later [`DocumentStore::get`] calls
     /// return [`StoreError::UnknownDocument`]. The default document
     /// is protected.
     pub fn evict(&self, name: &str) -> Result<(), StoreError> {
@@ -621,10 +594,9 @@ impl DocumentStore {
                 name: name.to_string(),
             });
         };
-        if let Some(old) = write(&slot.pipeline).take() {
-            self.retire(old);
-        }
+        let old = write(&slot.pipeline).take();
         self.metrics.add(obs::Counter::StoreEvictions, 1);
+        drop(old);
         Ok(())
     }
 
@@ -658,34 +630,20 @@ impl DocumentStore {
             .count()
     }
 
-    /// The process-wide view: store-level counters merged with every
-    /// live pipeline's registry and with everything ever retired.
-    /// Monotone across reloads and evictions.
+    /// The store's registry, which every pipeline records into, with
+    /// `cache_entries` summed over the resident pipelines' translation
+    /// caches. Monotone across reloads, updates and evictions.
     pub fn snapshot(&self) -> obs::MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        {
-            let mut retired = lock(&self.retired);
-            // Fold pipelines whose last in-flight reader has dropped:
-            // their counters are final, so they move into the retained
-            // base and the pipeline memory is released.
-            let parked = std::mem::take(&mut retired.parked);
-            for p in parked {
-                match Arc::try_unwrap(p) {
-                    Ok(quiesced) => retired.base.merge(&quiesced.nalix.metrics()),
-                    Err(still_shared) => retired.parked.push(still_shared),
-                }
-            }
-            snap.merge(&retired.base);
-            for p in &retired.parked {
-                snap.merge(&p.nalix.metrics());
-            }
-        }
         let slots: Vec<Arc<Slot>> = read(&self.slots).values().cloned().collect();
-        for slot in slots {
-            if let Some(p) = read(&slot.pipeline).clone() {
-                snap.merge(&p.nalix.metrics());
-            }
-        }
+        snap.cache_entries = slots
+            .iter()
+            .filter_map(|s| {
+                read(&s.pipeline)
+                    .as_ref()
+                    .map(|p| p.nalix.cache_stats().entries)
+            })
+            .sum::<usize>() as u64;
         snap
     }
 
@@ -716,7 +674,7 @@ impl DocumentStore {
         let spec = lock(&slot.spec).clone();
         let doc = spec.load()?;
         let stats = doc.stats();
-        let nalix = Nalix::with_metrics(doc, Arc::new(obs::MetricsRegistry::new()))
+        let nalix = Nalix::with_metrics(doc, Arc::clone(&self.metrics))
             .with_cache_capacity(self.config.cache_capacity);
         let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
         Ok(Arc::new(DocPipeline {
@@ -728,9 +686,17 @@ impl DocumentStore {
         }))
     }
 
-    /// Parks a replaced/evicted pipeline until its readers drain.
-    fn retire(&self, old: Arc<DocPipeline>) {
-        lock(&self.retired).parked.push(old);
+    /// The slot's resident pipeline, built and published first if the
+    /// slot is cold. The caller holds `slot.loading`, and calls
+    /// [`DocumentStore::shrink_to_capacity`] once it has let go of it.
+    fn load_locked(&self, slot: &Slot) -> Result<Arc<DocPipeline>, StoreError> {
+        if let Some(p) = read(&slot.pipeline).clone() {
+            return Ok(p); // resident, or another thread built it while we waited
+        }
+        let pipeline = self.build_spanned(slot, obs::Stage::StoreLoad)?;
+        self.metrics.add(obs::Counter::StoreLoads, 1);
+        *write(&slot.pipeline) = Some(Arc::clone(&pipeline));
+        Ok(pipeline)
     }
 
     /// Unloads coldest non-default pipelines until within capacity.
@@ -756,8 +722,8 @@ impl DocumentStore {
             };
             let Some(victim) = victim else { return };
             let guard = lock(&victim.loading);
-            if let Some(old) = write(&victim.pipeline).take() {
-                self.retire(old);
+            let unloaded = write(&victim.pipeline).take();
+            if unloaded.is_some() {
                 self.metrics.add(obs::Counter::StoreEvictions, 1);
             }
             drop(guard);
@@ -804,6 +770,17 @@ mod tests {
             max_resident: 2,
             cache_capacity: 64,
         }
+    }
+
+    /// A one-edit batch that every builtin accepts: a leaf under the root.
+    fn note() -> [EditSpec; 1] {
+        [EditSpec::InsertChild {
+            parent: 0,
+            node: xmldb::NewNode::Leaf {
+                label: "note".into(),
+                text: "edited".into(),
+            },
+        }]
     }
 
     #[test]
@@ -888,6 +865,28 @@ mod tests {
         // The unloaded document is still registered and lazily rebuilds.
         let movies = store.get(Some("movies")).unwrap();
         assert!(movies.nalix().ask("Return every title.").is_ok());
+        drop(movies);
+
+        // A cold update loads like a `get`, and so also shrinks: `dblp`
+        // was unloaded above, and now `movies` is the coldest.
+        let loaded = |store: &DocumentStore, name: &str| {
+            store.list().iter().any(|d| d.name == name && d.loaded)
+        };
+        assert!(!loaded(&store, "dblp"));
+        let report = store.update(Some("dblp"), &note(), None).unwrap();
+        assert_eq!(store.resident(), 2);
+        assert!(loaded(&store, "dblp") && !loaded(&store, "movies"));
+        assert_eq!(report.pipeline.doc().nodes_labeled("note").len(), 1);
+
+        // With room for one document the victim is the updated slot itself.
+        let one = DocumentStore::with_builtins(StoreConfig {
+            max_resident: 1,
+            ..small_config()
+        });
+        one.get(None).unwrap();
+        one.update(Some("dblp"), &note(), None).unwrap();
+        assert_eq!(one.resident(), 1);
+        assert!(loaded(&one, "bib") && !loaded(&one, "dblp"));
     }
 
     #[test]
@@ -906,6 +905,72 @@ mod tests {
         assert_eq!(after.counter(obs::Counter::StoreLoads), 1);
         assert_eq!(after.counter(obs::Counter::StoreReloads), 1);
         assert_eq!(after.counter(obs::Counter::StoreEvictions), 1);
+    }
+
+    #[test]
+    fn replaced_generations_die_without_a_snapshot() {
+        let store = DocumentStore::with_builtins(small_config());
+        let weak = |name: &str| Arc::downgrade(&store.get(Some(name)).unwrap());
+        let mut replaced = Vec::new();
+
+        let bib = weak("bib");
+        store.update(Some("bib"), &note(), None).unwrap();
+        replaced.push(("update", bib));
+
+        let movies = weak("movies");
+        store.put("movies", DocSpec::parse("movies")).unwrap();
+        replaced.push(("put", movies));
+
+        // `movies` is the coldest non-default document when `dblp` loads.
+        let movies = weak("movies");
+        let dblp = weak("dblp");
+        assert!(!store.list().iter().any(|d| d.name == "movies" && d.loaded));
+        replaced.push(("capacity unload", movies));
+
+        store.evict("dblp").unwrap();
+        replaced.push(("evict", dblp));
+
+        for (how, generation) in replaced {
+            assert_eq!(generation.strong_count(), 0, "{how} kept its generation");
+        }
+    }
+
+    #[test]
+    fn a_reader_keeps_its_generation_and_is_counted() {
+        let store = DocumentStore::with_builtins(StoreConfig::default());
+        let reader = store.get(Some("movies")).unwrap();
+        let generation = Arc::downgrade(&reader);
+        store.update(Some("movies"), &note(), None).unwrap();
+        assert_eq!(generation.strong_count(), 1, "only the reader holds it");
+
+        let before = store.snapshot().queries_total();
+        reader.nalix().ask("Return every title.").unwrap();
+        assert_eq!(store.snapshot().queries_total(), before + 1);
+        drop(reader);
+        assert_eq!(generation.strong_count(), 0);
+        assert_eq!(store.snapshot().queries_total(), before + 1);
+    }
+
+    #[test]
+    fn cache_entries_sum_the_resident_caches() {
+        let store = DocumentStore::with_builtins(StoreConfig::default());
+        let ask = |name: &str| {
+            let p = store.get(Some(name)).unwrap();
+            p.nalix().ask("Return every title.").unwrap();
+        };
+        ask("movies");
+        for _ in 0..3 {
+            ask("bib");
+            store.update(Some("bib"), &note(), None).unwrap();
+        }
+        ask("bib");
+        store.put("movies", DocSpec::parse("movies")).unwrap();
+        let resident: usize = ["bib", "movies"]
+            .iter()
+            .map(|&name| store.get(Some(name)).unwrap().nalix().cache_stats().entries)
+            .sum();
+        assert_eq!(resident, 1, "the reload emptied movies' cache");
+        assert_eq!(store.snapshot().cache_entries, resident as u64);
     }
 
     /// The pre rank of the first element named `label`.
