@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 use xmldb::{Document, NodeKind, UpdateStats};
+use xquery::value::parse_finite;
 
 /// Precomputed database metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +112,7 @@ impl Catalog {
                 );
                 continue;
             }
-            let parsed = op.value.trim().parse::<f64>().ok();
+            let parsed = parse_finite(&op.value);
             if let Some(entry) = self.value_index.get_mut(&key) {
                 if let Some(c) = entry.get_mut(label) {
                     *c = c.saturating_sub(1);
@@ -161,7 +162,7 @@ impl Catalog {
                 if !labels.contains_key(&label) {
                     continue;
                 }
-                if let Ok(v) = key.parse::<f64>() {
+                if let Some(v) = parse_finite(key) {
                     range = Some(match range {
                         None => (v, v),
                         Some((lo, hi)) => (lo.min(v), hi.max(v)),
@@ -250,7 +251,7 @@ fn record_one(
         .or_insert(0) += 1;
     let c = numeric.entry(label.to_owned()).or_insert((0, 0));
     c.1 += 1;
-    if let Ok(v) = value.trim().parse::<f64>() {
+    if let Some(v) = parse_finite(value) {
         c.0 += 1;
         ranges
             .entry(label.to_owned())

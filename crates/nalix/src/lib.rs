@@ -699,6 +699,7 @@ impl Nalix {
             Ok(out) => {
                 espan.finish(obs::SpanOutcome::Ok);
                 self.metrics.add(obs::Counter::SqlTuples, out.tuples());
+                self.metrics.add(obs::Counter::MemoHits, out.memo_hits());
                 Ok((out.strings(&shred), sqlq::pretty(&q)))
             }
             Err(e @ sqlq::SqlError::Budget(limit)) => {

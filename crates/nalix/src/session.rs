@@ -61,6 +61,7 @@ use crate::{Answer, Nalix, Outcome};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use xquery::value::parse_finite;
 use xquery::EvalBudget;
 
 /// Default [`SessionStore`] capacity (live sessions, LRU-evicted).
@@ -554,9 +555,9 @@ fn vt_labels(tree: &ClassifiedTree, vt: usize, catalog: &Catalog) -> Vec<String>
     if !labels.is_empty() {
         return labels;
     }
-    match word.parse::<f64>() {
-        Ok(v) => catalog.numeric_labels_for(v),
-        Err(_) => Vec::new(),
+    match parse_finite(word) {
+        Some(v) => catalog.numeric_labels_for(v),
+        None => Vec::new(),
     }
 }
 

@@ -28,6 +28,7 @@ use crate::semantics;
 use crate::token::{ClassifiedTree, NodeClass, OpSem, QtKind, SortDir, TokenType};
 use std::collections::HashMap;
 use std::fmt;
+use xquery::value::parse_finite;
 use xquery::{AggFunc, Binding as XBinding, CmpOp, Expr, OrderDir, OrderKey};
 
 /// Translation failure: the tree validated but uses a construct outside
@@ -440,7 +441,7 @@ impl<'a> Translator<'a> {
                 // its values as alternatives.
                 let value_of = |k: usize| {
                     let kn = self.tree.node(k);
-                    if kn.lemma.trim().parse::<f64>().is_ok() {
+                    if parse_finite(&kn.lemma).is_some() {
                         kn.lemma.clone()
                     } else {
                         kn.words.clone()
@@ -694,9 +695,9 @@ impl<'a> Translator<'a> {
             }],
             Operand::Const(values) => values
                 .iter()
-                .map(|c| match c.trim().parse::<f64>() {
-                    Ok(n) => Expr::Num(n),
-                    Err(_) => Expr::Str(c.clone()),
+                .map(|c| match parse_finite(c) {
+                    Some(n) => Expr::Num(n),
+                    None => Expr::Str(c.clone()),
                 })
                 .collect(),
         }

@@ -8,6 +8,7 @@ use crate::thesaurus;
 use crate::token::{CNode, ClassifiedTree, MarkerType, NodeClass, TokenType};
 use crate::vocab;
 use nlparser::DepRel;
+use xquery::value::parse_finite;
 
 /// The result of validating a classified parse tree.
 #[derive(Debug, Clone)]
@@ -353,8 +354,8 @@ fn implicit_name_tokens(
             }
         }
         if names.is_empty() {
-            if let Ok(parsed) = values[0].trim().parse::<f64>() {
-                if values.iter().all(|v| v.trim().parse::<f64>().is_ok()) {
+            if let Some(parsed) = parse_finite(&values[0]) {
+                if values.iter().all(|v| parse_finite(v).is_some()) {
                     names = catalog.numeric_labels_for(parsed);
                 }
             }

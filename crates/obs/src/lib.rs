@@ -449,11 +449,17 @@ pub enum Counter {
     /// (the quantity its tuple budget bounds — the relational analog
     /// of [`Counter::EvalTuples`]).
     SqlTuples,
+    /// Correlated bodies answered from a per-query memo instead of
+    /// being evaluated again: a `let` body of the XQuery engine, or a
+    /// scalar or `EXISTS` subquery of the SQL backend, that sees the
+    /// outer tuple only through value comparisons (the paper's Fig. 6
+    /// grouping shape) and met a key it had already evaluated.
+    MemoHits,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 36;
 
     /// All counters, in [`Counter::index`] order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -492,6 +498,7 @@ impl Counter {
         Counter::IndexRebuilds,
         Counter::UpdateConflicts,
         Counter::SqlTuples,
+        Counter::MemoHits,
     ];
 
     /// Dense index of this counter (its position in [`Counter::ALL`]).
@@ -537,6 +544,7 @@ impl Counter {
             Counter::IndexRebuilds => "index_rebuilds",
             Counter::UpdateConflicts => "update_conflicts",
             Counter::SqlTuples => "sql_tuples",
+            Counter::MemoHits => "memo_hits",
         }
     }
 }

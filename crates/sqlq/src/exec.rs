@@ -22,16 +22,28 @@
 //!
 //! Value semantics mirror the XQuery engine item for item: scalars are
 //! sequence-valued, comparisons are existential and numeric when both
-//! sides parse as numbers, aggregates reproduce `count`/`sum`/`avg`/
-//! `min`/`max` including empty-input and type-error behaviour, and
-//! output strings atomize exactly as the engine's `strings()` does.
+//! sides parse as finite numbers, aggregates reproduce `count`/`sum`/
+//! `avg`/`min`/`max` including empty-input and type-error behaviour,
+//! `ORDER BY` sorts with the engine's total order
+//! ([`xquery::SortKey`]), and output strings atomize exactly as the
+//! engine's `strings()` does.
+//!
+//! A correlated scalar or `EXISTS` subquery that reads its outer
+//! aliases only as `strval(alias)` operands of comparisons — the
+//! relational image of the paper's Fig. 6 grouping — runs once per
+//! distinct tuple of those atomized strings during one [`execute`]
+//! call; repeats are answered from a memo and counted by
+//! [`SqlOutput::memo_hits`].
 
 use crate::ast::{FromItem, PathAxis, Pred, Projection, Scalar, SqlAgg, SqlCmp, SqlQuery, StrFn};
 use relstore::Shredding;
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
+use xquery::value::parse_finite;
+use xquery::SortKey;
 
 /// Executor failure: a malformed query (unknown alias), a type error
 /// (`sum` over non-numeric values), or an exhausted tuple budget.
@@ -89,8 +101,8 @@ impl SqlVal {
     fn numeric(&self, shred: &Shredding<'_>) -> Option<f64> {
         match self {
             SqlVal::Num(n) => Some(*n),
-            SqlVal::Str(s) => s.trim().parse().ok(),
-            SqlVal::Node(pre) => shred.atomize(*pre).trim().parse().ok(),
+            SqlVal::Str(s) => parse_finite(s),
+            SqlVal::Node(pre) => parse_finite(&shred.atomize(*pre)),
         }
     }
 }
@@ -103,7 +115,7 @@ pub fn compare_vals(shred: &Shredding<'_>, a: &SqlVal, b: &SqlVal) -> Ordering {
     let num = |v: &SqlVal, s: &str| -> Option<f64> {
         match v {
             SqlVal::Num(n) => Some(*n),
-            _ => s.trim().parse().ok(),
+            _ => parse_finite(s),
         }
     };
     match (num(a, &sa), num(b, &sb)) {
@@ -121,6 +133,7 @@ pub struct SqlOutput {
     projection_concat: bool,
     rows: Vec<RowValues>,
     tuples: u64,
+    memo_hits: u64,
 }
 
 impl SqlOutput {
@@ -134,6 +147,12 @@ impl SqlOutput {
     /// included (the quantity [`ExecLimits::max_tuples`] bounds).
     pub fn tuples(&self) -> u64 {
         self.tuples
+    }
+
+    /// Correlated subquery runs answered from the memo instead of
+    /// being enumerated again.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
     }
 
     /// Flatten to the answer strings, matching the XQuery engine's
@@ -173,27 +192,28 @@ pub fn execute(
         shred,
         limits: *limits,
         tuples: Cell::new(0),
+        agg_memo: RefCell::default(),
+        exists_memo: RefCell::default(),
+        memo_hits: Cell::new(0),
     };
     let mut env = Env::default();
     let rows = exec.enumerate(q, &mut env)?;
-    let mut keyed: Vec<(Vec<Vec<SqlVal>>, Vec<u32>)> = Vec::with_capacity(rows.len());
+    let mut keyed: Vec<(Vec<SortKey>, Vec<u32>)> = Vec::with_capacity(rows.len());
     for tuple in rows {
         let mut env = Env::default();
         env.push_tuple(q, &tuple);
         let mut keys = Vec::with_capacity(q.order_by.len());
         for k in &q.order_by {
-            keys.push(exec.scalar(&k.key, &env)?);
+            keys.push(exec.sort_key(&exec.scalar(&k.key, &env)?));
         }
         keyed.push((keys, tuple));
     }
     if !q.order_by.is_empty() {
+        // The engine's total order, so `sort_by` cannot panic and both
+        // backends agree on mixed columns.
         keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, spec) in q.order_by.iter().enumerate() {
-                let (a, b) = (ka.get(i), kb.get(i));
-                let o = exec.compare_key(
-                    a.map(Vec::as_slice).unwrap_or(&[]),
-                    b.map(Vec::as_slice).unwrap_or(&[]),
-                );
+            for ((a, b), spec) in ka.iter().zip(kb).zip(&q.order_by) {
+                let o = a.total_cmp(b);
                 let o = if spec.desc { o.reverse() } else { o };
                 if o != Ordering::Equal {
                     return o;
@@ -219,6 +239,7 @@ pub fn execute(
         projection_concat: matches!(q.projection, Projection::Concat(_)),
         rows: rows_out,
         tuples: exec.tuples.get(),
+        memo_hits: exec.memo_hits.get(),
     })
 }
 
@@ -255,10 +276,20 @@ enum Check<'q> {
     MqfPair(&'q str, &'q str),
 }
 
+/// A memo entry's key: the subquery (by address — the query tree is
+/// borrowed for the whole [`execute`] call) and the atomized strings of
+/// its outer aliases' rows.
+type MemoKey = (*const SqlQuery, Vec<String>);
+
 struct Exec<'s> {
     shred: &'s Shredding<'s>,
     limits: ExecLimits,
     tuples: Cell<u64>,
+    /// Results of memoisable scalar subqueries, for this execution.
+    agg_memo: RefCell<HashMap<MemoKey, Vec<SqlVal>>>,
+    /// Emptiness of memoisable `EXISTS` subqueries, for this execution.
+    exists_memo: RefCell<HashMap<MemoKey, bool>>,
+    memo_hits: Cell<u64>,
 }
 
 impl<'s> Exec<'s> {
@@ -271,13 +302,44 @@ impl<'s> Exec<'s> {
         }
     }
 
-    fn compare_key(&self, a: &[SqlVal], b: &[SqlVal]) -> Ordering {
-        match (a.first(), b.first()) {
-            (None, None) => Ordering::Equal,
-            (None, Some(_)) => Ordering::Less,
-            (Some(_), None) => Ordering::Greater,
-            (Some(x), Some(y)) => compare_vals(self.shred, x, y),
+    /// The `ORDER BY` key of a scalar's values, as the engine builds
+    /// it from a key sequence ([`SortKey::first`]).
+    fn sort_key(&self, vals: &[SqlVal]) -> SortKey {
+        match vals.first() {
+            None => SortKey::Empty,
+            Some(SqlVal::Num(n)) => SortKey::Num(*n),
+            Some(v) => SortKey::text(v.render(self.shred).into_owned()),
         }
+    }
+
+    /// Run a correlated subquery through `memo`: when `query` reads its
+    /// outer aliases only as comparison operands, its result depends on
+    /// nothing but their rows' atomized strings, so a repeated key
+    /// reuses the first result.
+    fn memoised<T: Clone>(
+        &self,
+        query: &SqlQuery,
+        env: &Env,
+        memo: &RefCell<HashMap<MemoKey, T>>,
+        run: impl FnOnce() -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        let key = value_keyed_aliases(query).and_then(|aliases| {
+            aliases
+                .iter()
+                .map(|a| env.get(a).map(|pre| self.shred.atomize(pre).into_owned()))
+                .collect::<Option<Vec<String>>>()
+        });
+        let Some(key) = key else {
+            return run();
+        };
+        let key = (std::ptr::from_ref(query), key);
+        if let Some(hit) = memo.borrow().get(&key) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            return Ok(hit.clone());
+        }
+        let out = run()?;
+        memo.borrow_mut().insert(key, out.clone());
+        Ok(out)
     }
 
     /// Enumerate the binding tuples of `q` (pres per `FROM` item, in
@@ -519,7 +581,9 @@ impl<'s> Exec<'s> {
             }
             Scalar::Str(v) => Ok(vec![SqlVal::Str(v.clone())]),
             Scalar::Num(n) => Ok(vec![SqlVal::Num(*n)]),
-            Scalar::Agg { func, query } => self.aggregate(*func, query, env),
+            Scalar::Agg { func, query } => self.memoised(query, env, &self.agg_memo, || {
+                self.aggregate(*func, query, env)
+            }),
         }
     }
 
@@ -675,9 +739,11 @@ impl<'s> Exec<'s> {
             }
             Pred::Not(inner) => Ok(!self.pred(inner, env)?),
             Pred::Exists { query, negated } => {
-                let mut env = env.clone();
-                let rows = self.enumerate(query, &mut env)?;
-                Ok(rows.is_empty() == *negated)
+                let empty = self.memoised(query, env, &self.exists_memo, || {
+                    let mut env = env.clone();
+                    Ok(self.enumerate(query, &mut env)?.is_empty())
+                })?;
+                Ok(empty == *negated)
             }
         }
     }
@@ -747,4 +813,66 @@ fn collect_query_outer_aliases<'p>(q: &'p SqlQuery, out: &mut Vec<&'p str>) {
     }
     let local: Vec<&str> = q.local_aliases();
     out.extend(inner.into_iter().filter(|a| !local.contains(a)));
+}
+
+/// The outer aliases of a correlated subquery, sorted, when the subquery
+/// reads each of them only as a `strval(alias)` operand of a comparison
+/// (`strval(v4) = strval(v1)`, the Fig. 6 value join). Its result is
+/// then a function of those rows' atomized strings. `None` when an
+/// outer alias is used structurally (`mqf`, containment, a node set) or
+/// as a string-function argument; an empty list for an uncorrelated
+/// subquery.
+fn value_keyed_aliases(q: &SqlQuery) -> Option<Vec<&str>> {
+    let mut outer = Vec::new();
+    collect_query_outer_aliases(q, &mut outer);
+    outer.sort_unstable();
+    outer.dedup();
+    query_only_compares(q, &outer).then_some(outer)
+}
+
+/// Does `q` read the `outer` aliases (less those it binds itself) only
+/// as comparison operands?
+fn query_only_compares(q: &SqlQuery, outer: &[&str]) -> bool {
+    let local = q.local_aliases();
+    let outer: Vec<&str> = outer
+        .iter()
+        .copied()
+        .filter(|a| !local.contains(a))
+        .collect();
+    let items = match &q.projection {
+        Projection::Columns(items) | Projection::Concat(items) => items,
+    };
+    items.iter().all(|s| scalar_only_compares(s, &outer))
+        && q.preds.iter().all(|p| pred_only_compares(p, &outer))
+        && q.order_by
+            .iter()
+            .all(|k| scalar_only_compares(&k.key, &outer))
+}
+
+fn pred_only_compares(p: &Pred, outer: &[&str]) -> bool {
+    let inner = |a: &String| !outer.contains(&a.as_str());
+    match p {
+        Pred::Cmp { lhs, rhs, .. } => [lhs, rhs]
+            .into_iter()
+            .all(|s| matches!(s, Scalar::Val(_)) || scalar_only_compares(s, outer)),
+        Pred::StrFn { lhs, rhs, .. } => {
+            scalar_only_compares(lhs, outer) && scalar_only_compares(rhs, outer)
+        }
+        Pred::Mqf(aliases) => aliases.iter().all(inner),
+        Pred::ChildOf { child, parent } => inner(child) && inner(parent),
+        Pred::Within { inner: i, outer: o } => inner(i) && inner(o),
+        Pred::And(parts) | Pred::Or(parts) => parts.iter().all(|p| pred_only_compares(p, outer)),
+        Pred::Not(p) => pred_only_compares(p, outer),
+        Pred::Exists { query, .. } => query_only_compares(query, outer),
+    }
+}
+
+fn scalar_only_compares(s: &Scalar, outer: &[&str]) -> bool {
+    match s {
+        Scalar::Pre(a) | Scalar::Val(a) | Scalar::Nodes { alias: a, .. } => {
+            !outer.contains(&a.as_str())
+        }
+        Scalar::Str(_) | Scalar::Num(_) => true,
+        Scalar::Agg { query, .. } => query_only_compares(query, outer),
+    }
 }

@@ -411,4 +411,57 @@ mod tests {
         };
         assert_eq!(run(&s, &q), xq);
     }
+
+    /// `SELECT strval(v1) FROM price AS v1 WHERE (SELECT count(strval(v2))
+    /// FROM price AS v2 WHERE <pred>) = 2`.
+    fn prices_shared_twice(pred: Pred) -> SqlQuery {
+        SqlQuery {
+            projection: Projection::Columns(vec![val("v1")]),
+            from: vec![from("v1", &["price"])],
+            preds: vec![Pred::Cmp {
+                op: SqlCmp::Eq,
+                lhs: Scalar::Agg {
+                    func: SqlAgg::Count,
+                    query: Box::new(SqlQuery {
+                        projection: Projection::Columns(vec![val("v2")]),
+                        from: vec![from("v2", &["price"])],
+                        preds: vec![pred],
+                        order_by: vec![],
+                    }),
+                },
+                rhs: Scalar::Num(2.0),
+            }],
+            order_by: vec![],
+        }
+    }
+
+    #[test]
+    fn value_joined_subquery_runs_once_per_distinct_value() {
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
+        // Prices 65.95, 65.95, 39.95: the second 65.95 reuses the first.
+        let q = prices_shared_twice(Pred::Cmp {
+            op: SqlCmp::Eq,
+            lhs: val("v2"),
+            rhs: val("v1"),
+        });
+        let out = execute(&s, &q, &ExecLimits::default()).unwrap();
+        assert_eq!(out.strings(&s), vec!["65.95", "65.95"]);
+        assert_eq!(out.memo_hits(), 1);
+        assert_eq!(out.tuples(), 3 + 2 * 3);
+    }
+
+    #[test]
+    fn structurally_correlated_subquery_runs_per_row() {
+        let d = doc(BIB);
+        let s = Shredding::build(&d);
+        // `mqf(v1, v2)` reads the outer row's position, not its value:
+        // each row's partner window holds its own price only, once per
+        // row (a memo keyed by value would enumerate 2 windows, not 3).
+        let q = prices_shared_twice(Pred::Mqf(vec!["v1".into(), "v2".into()]));
+        let out = execute(&s, &q, &ExecLimits::default()).unwrap();
+        assert!(out.strings(&s).is_empty());
+        assert_eq!(out.memo_hits(), 0);
+        assert_eq!(out.tuples(), 3 + 3);
+    }
 }

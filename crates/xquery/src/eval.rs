@@ -11,8 +11,9 @@
 use crate::ast::{AggFunc, Binding, CmpOp, Expr, OrderDir, PathRoot, Quantifier, Step, StepAxis};
 use crate::mlca::set_meaningfully_related;
 use crate::parser::{parse, ParseError};
-use crate::value::{compare_items, effective_boolean, ConstructedElem, Item, Sequence};
+use crate::value::{compare_items, effective_boolean, ConstructedElem, Item, Sequence, SortKey};
 use std::cell::Cell;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::time::{Duration, Instant};
 use xmldb::{Document, NodeId, NodeKind};
@@ -213,6 +214,9 @@ struct Guard<'b> {
     /// Indexed partner enumerations, flushed as
     /// [`obs::Counter::MqfPartnerLookups`] once per evaluation.
     mqf_partner_lookups: Cell<u64>,
+    /// `let` tuples answered from a FLWOR's memo instead of evaluating
+    /// the body, flushed as [`obs::Counter::MemoHits`].
+    memo_hits: Cell<u64>,
 }
 
 /// The `Send + Sync` parts of a [`Guard`], handed to worker shards so
@@ -233,6 +237,7 @@ impl<'b> GuardSeed<'b> {
             max_depth: Cell::new(0),
             mqf_checks: Cell::new(0),
             mqf_partner_lookups: Cell::new(0),
+            memo_hits: Cell::new(0),
         }
     }
 }
@@ -243,6 +248,7 @@ struct ShardStats {
     max_depth: usize,
     mqf_checks: u64,
     mqf_partner_lookups: u64,
+    memo_hits: u64,
 }
 
 impl<'b> Guard<'b> {
@@ -272,6 +278,7 @@ impl<'b> Guard<'b> {
             max_depth: self.max_depth.get(),
             mqf_checks: self.mqf_checks.get(),
             mqf_partner_lookups: self.mqf_partner_lookups.get(),
+            memo_hits: self.memo_hits.get(),
         }
     }
 
@@ -281,6 +288,7 @@ impl<'b> Guard<'b> {
         self.mqf_checks.set(self.mqf_checks.get() + s.mqf_checks);
         self.mqf_partner_lookups
             .set(self.mqf_partner_lookups.get() + s.mqf_partner_lookups);
+        self.memo_hits.set(self.memo_hits.get() + s.memo_hits);
     }
 
     /// Depth check at every recursive descent into `eval_inner`.
@@ -497,11 +505,123 @@ impl ValueIndexCache {
 /// semantics of [`compare_items`] (numeric values compare numerically,
 /// others as exact strings).
 fn canon_value(v: &str) -> String {
-    match v.trim().parse::<f64>() {
-        Ok(n) => crate::value::format_number(n),
-        Err(_) => v.to_owned(),
+    match crate::value::parse_finite(v) {
+        Some(n) => crate::value::format_number(n),
+        None => v.to_owned(),
     }
 }
+
+/// The outer variables a `let` body depends on, when it depends on them
+/// only as direct operands of value comparisons — the paper's Fig. 6
+/// grouping shape, `$v4 = $v1` against a fresh copy of the core token.
+/// Such a body's value is a function of the kinds and atomized strings
+/// of those variables' items (that is all [`compare_items`] reads), so
+/// a FLWOR may evaluate it once per distinct key ([`memo_key`]).
+/// `None` when an outer variable is used any other way: in a path
+/// (`$v1/author`), as an `mqf()` or function argument, under an
+/// aggregate (`count($v1)`), or as a result. `Some(vec![])` means the
+/// body references no outer variable at all.
+fn value_keyed_vars(body: &Expr) -> Option<Vec<&str>> {
+    let mut keyed = Vec::new();
+    if !only_compared(body, &mut Vec::new(), &mut keyed) {
+        return None;
+    }
+    keyed.sort_unstable();
+    keyed.dedup();
+    Some(keyed)
+}
+
+/// Walk `e` with `scope` holding the variables bound inside the body so
+/// far (a FLWOR binding scopes over the bindings after it, as written;
+/// the planner never evaluates a binding before one it references).
+/// Outer variables met as direct comparison operands go to `keyed`;
+/// any other outer reference returns false.
+fn only_compared<'e>(e: &'e Expr, scope: &mut Vec<&'e str>, keyed: &mut Vec<&'e str>) -> bool {
+    match e {
+        Expr::Str(_) | Expr::Num(_) => true,
+        Expr::Path { root, .. } => match root {
+            PathRoot::Var(v) => scope.contains(&v.as_str()),
+            PathRoot::Doc(_) => true,
+        },
+        Expr::Cmp { lhs, rhs, .. } => [lhs, rhs].into_iter().all(|x| match x.as_ref() {
+            Expr::Path {
+                root: PathRoot::Var(v),
+                steps,
+            } if steps.is_empty() && !scope.contains(&v.as_str()) => {
+                keyed.push(v);
+                true
+            }
+            x => only_compared(x, scope, keyed),
+        }),
+        Expr::And(xs) | Expr::Or(xs) | Expr::Seq(xs) | Expr::Mqf(xs) => {
+            xs.iter().all(|x| only_compared(x, scope, keyed))
+        }
+        Expr::Element { content: xs, .. } | Expr::Call { args: xs, .. } => {
+            xs.iter().all(|x| only_compared(x, scope, keyed))
+        }
+        Expr::Not(x) | Expr::Agg { arg: x, .. } => only_compared(x, scope, keyed),
+        Expr::Quantified {
+            var,
+            source,
+            satisfies,
+            ..
+        } => {
+            if !only_compared(source, scope, keyed) {
+                return false;
+            }
+            scope.push(var);
+            let ok = only_compared(satisfies, scope, keyed);
+            scope.pop();
+            ok
+        }
+        Expr::Flwor {
+            bindings,
+            where_clause,
+            order_by,
+            ret,
+        } => {
+            let mark = scope.len();
+            let mut ok = true;
+            for b in bindings {
+                let source = match b {
+                    Binding::For { source, .. } => source,
+                    Binding::Let { value, .. } => value,
+                };
+                ok = ok && only_compared(source, scope, keyed);
+                scope.push(b.var());
+            }
+            ok = ok
+                && where_clause
+                    .as_deref()
+                    .is_none_or(|w| only_compared(w, scope, keyed))
+                && order_by
+                    .iter()
+                    .all(|k| only_compared(&k.expr, scope, keyed))
+                && only_compared(ret, scope, keyed);
+            scope.truncate(mark);
+            ok
+        }
+    }
+}
+
+/// The memo key of one tuple: for each keyed variable, the kind and the
+/// exact atomized string of every item it holds. Exact strings, not
+/// [`canon_value`]: `"1990"` and `"1990.0"` are equal as numbers but
+/// differ against `"1990-"` under `<`. `None` when a variable is
+/// unbound, so evaluation reports it.
+fn memo_key(doc: &Document, vars: &[&str], env: &Env) -> Option<MemoKey> {
+    vars.iter()
+        .map(|v| {
+            env.get(v).map(|seq| {
+                seq.iter()
+                    .map(|item| (std::mem::discriminant(item), item.string_value(doc)))
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+type MemoKey = Vec<Vec<(std::mem::Discriminant<Item>, String)>>;
 
 impl Engine {
     /// Create an engine over `doc` (which must be finalized), with its
@@ -669,6 +789,8 @@ impl Engine {
             obs::Counter::MqfPartnerLookups,
             guard.mqf_partner_lookups.get(),
         );
+        self.metrics
+            .add(obs::Counter::MemoHits, guard.memo_hits.get());
         self.metrics.record_max(
             obs::MaxGauge::EvalDepthHighWater,
             guard.max_depth.get() as u64,
@@ -1229,10 +1351,31 @@ impl Engine {
                             }
                         }
                         Binding::Let { var, value } => {
+                            // A body that sees the outer tuple only
+                            // through value comparisons is evaluated once
+                            // per distinct key; the memo lives for this
+                            // one FLWOR evaluation. Each tuple is still
+                            // charged.
+                            let keyed = value_keyed_vars(value);
+                            let mut memo: HashMap<MemoKey, Sequence> = HashMap::new();
                             let mut next = Vec::with_capacity(stream.len());
                             for e in &stream {
                                 guard.charge_tuples(1)?;
-                                let v = self.eval_inner(value, e, guard, depth + 1)?;
+                                let key = keyed
+                                    .as_deref()
+                                    .and_then(|vars| memo_key(&self.doc, vars, e));
+                                let v = match key {
+                                    Some(key) => match memo.entry(key) {
+                                        Entry::Occupied(hit) => {
+                                            guard.memo_hits.set(guard.memo_hits.get() + 1);
+                                            hit.get().clone()
+                                        }
+                                        Entry::Vacant(slot) => slot
+                                            .insert(self.eval_inner(value, e, guard, depth + 1)?)
+                                            .clone(),
+                                    },
+                                    None => self.eval_inner(value, e, guard, depth + 1)?,
+                                };
                                 let e2 = e.bind(var, v);
                                 if admit(&e2, k, guard, None)? {
                                     next.push(e2);
@@ -1261,17 +1404,20 @@ impl Engine {
                 if !order_by.is_empty() {
                     // Precompute keys (evaluation may error, so do it
                     // before sorting).
-                    let mut keyed: Vec<(Vec<Sequence>, Env)> = Vec::with_capacity(stream.len());
+                    let mut keyed: Vec<(Vec<SortKey>, Env)> = Vec::with_capacity(stream.len());
                     for e in stream {
                         let mut keys = Vec::with_capacity(order_by.len());
                         for k in order_by {
-                            keys.push(self.eval_inner(&k.expr, &e, guard, depth + 1)?);
+                            let seq = self.eval_inner(&k.expr, &e, guard, depth + 1)?;
+                            keys.push(SortKey::first(&self.doc, &seq));
                         }
                         keyed.push((keys, e));
                     }
+                    // `SortKey::total_cmp` is a total order, as
+                    // `sort_by` requires (it may panic otherwise).
                     keyed.sort_by(|(ka, _), (kb, _)| {
-                        for (i, spec) in order_by.iter().enumerate() {
-                            let o = self.compare_key(&ka[i], &kb[i]);
+                        for ((a, b), spec) in ka.iter().zip(kb).zip(order_by) {
+                            let o = a.total_cmp(b);
                             let o = match spec.dir {
                                 OrderDir::Ascending => o,
                                 OrderDir::Descending => o.reverse(),
@@ -1462,15 +1608,6 @@ impl Engine {
             }
         }
         Ok(set_meaningfully_related(&self.doc, &nodes))
-    }
-
-    fn compare_key(&self, a: &Sequence, b: &Sequence) -> std::cmp::Ordering {
-        match (a.first(), b.first()) {
-            (None, None) => std::cmp::Ordering::Equal,
-            (None, Some(_)) => std::cmp::Ordering::Less,
-            (Some(_), None) => std::cmp::Ordering::Greater,
-            (Some(x), Some(y)) => compare_items(&self.doc, x, y),
-        }
     }
 
     fn eval_path(&self, root: &PathRoot, steps: &[Step], env: &Env) -> Result<Sequence, EvalError> {
@@ -1840,6 +1977,48 @@ mod tests {
             .into_iter()
             .map(|i| bindings[i].var().to_owned())
             .collect()
+    }
+
+    #[test]
+    fn memo_keys_only_value_compared_outer_variables() {
+        let keyed = |body: &str| {
+            let e = parse(body).unwrap();
+            value_keyed_vars(&e).map(|vars| vars.join(","))
+        };
+        // Fig. 6: a fresh copy of the core token joined by value.
+        let fig6 = "for $v3 in doc()//year, $v4 in doc()//title \
+                    where mqf($v3,$v4) and $v4 = $v1 return $v3";
+        assert_eq!(keyed(fig6).as_deref(), Some("v1"));
+        assert_eq!(
+            keyed("for $t in doc()//title where $v2 < $t and $t = $v1 return $t").as_deref(),
+            Some("v1,v2")
+        );
+        // Structural uses of the outer variable.
+        for body in [
+            "for $x in doc()//year where mqf($x, $v1) return $x",
+            "$v1/author",
+            "for $t in doc()//title where count($v1) >= 1 and $t = $v1 return $t",
+            "for $t in doc()//title where $t = $v1/title return $t",
+            "for $t in doc()//title where $t = $v1 return $v1",
+            "for $t in doc()//title where contains($t, $v1) return $t",
+        ] {
+            assert_eq!(keyed(body), None, "{body}");
+        }
+        // No outer reference, and variables bound inside the body.
+        assert_eq!(
+            keyed("for $a in doc()//author return $a").as_deref(),
+            Some("")
+        );
+        assert_eq!(
+            keyed("for $v1 in doc()//title return $v1/author").as_deref(),
+            Some("")
+        );
+        assert_eq!(
+            keyed("some $v1 in doc()//title satisfies $v1/author = $w").as_deref(),
+            Some("w")
+        );
+        // A binding sees only the bindings before it.
+        assert_eq!(keyed("for $a in $b/x, $b in doc()//y return $a"), None);
     }
 
     #[test]

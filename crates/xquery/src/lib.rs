@@ -94,4 +94,4 @@ pub use ast::{
 pub use eval::{Engine, EvalBudget, EvalError, ExhaustedResource};
 pub use lexer::{LexError, Token};
 pub use parser::{parse, ParseError};
-pub use value::{Item, Sequence};
+pub use value::{Item, Sequence, SortKey};

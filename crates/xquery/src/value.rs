@@ -68,12 +68,13 @@ impl Item {
         }
     }
 
-    /// Atomized numeric value, when the item looks like a number.
+    /// Atomized numeric value, when the item looks like a number (see
+    /// [`parse_finite`]).
     pub fn numeric_value(&self, doc: &Document) -> Option<f64> {
         match self {
             Item::Num(n) => Some(*n),
             Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => self.atom_value(doc).trim().parse().ok(),
+            _ => parse_finite(&self.atom_value(doc)),
         }
     }
 
@@ -96,9 +97,21 @@ pub fn format_number(n: f64) -> String {
     }
 }
 
+/// The numeric reading of an atomized string: its trimmed text parsed as
+/// a *finite* number. Every place that decides whether a string value
+/// is numeric goes through here. Rust's `f64` parser also accepts
+/// `"NaN"`, `"inf"` and `"Infinity"`; those are words in a document (an
+/// author called "Nan"), and as NaN they would compare equal to every
+/// number.
+pub fn parse_finite(s: &str) -> Option<f64> {
+    s.trim().parse::<f64>().ok().filter(|n| n.is_finite())
+}
+
 /// Compare two atomized items: numerically when both sides are numeric,
-/// lexicographically otherwise. Returns an ordering usable for both
-/// general comparisons and `order by`.
+/// lexicographically otherwise. This is general comparison's order; it
+/// is not transitive over a mix of numbers and other strings (`"2" <
+/// "10"` as numbers, `"10" < "1a" < "2"` as strings), so `order by`
+/// sorts with [`SortKey`] instead.
 pub fn compare_items(doc: &Document, a: &Item, b: &Item) -> std::cmp::Ordering {
     // Atomize each side once, borrowed where possible, and derive the
     // numeric view from the same string — the hot path of predicate
@@ -109,12 +122,67 @@ pub fn compare_items(doc: &Document, a: &Item, b: &Item) -> std::cmp::Ordering {
         match item {
             Item::Num(n) => Some(*n),
             Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => s.trim().parse().ok(),
+            _ => parse_finite(s),
         }
     };
     match (num(a, &sa), num(b, &sb)) {
         (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
         _ => sa.cmp(&sb),
+    }
+}
+
+/// One `order by` key, atomized once per tuple. [`SortKey::total_cmp`]
+/// is the total order both backends sort with: the empty key first,
+/// then numbers by value, then every other string by bytes. On a column
+/// of only numbers or only non-numeric strings it agrees with
+/// [`compare_items`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SortKey {
+    /// The key expression produced no item.
+    Empty,
+    /// A number, a boolean (0 or 1), or a string that [`parse_finite`]
+    /// reads as a number.
+    Num(f64),
+    /// Any other string.
+    Str(String),
+}
+
+impl SortKey {
+    /// The key of an atomized string.
+    pub fn text(s: String) -> SortKey {
+        match parse_finite(&s) {
+            Some(n) => SortKey::Num(n),
+            None => SortKey::Str(s),
+        }
+    }
+
+    /// The key of a key sequence's first item (`order by` looks at the
+    /// first item only, as general comparison's order did).
+    pub fn first(doc: &Document, seq: &[Item]) -> SortKey {
+        match seq.first() {
+            None => SortKey::Empty,
+            Some(Item::Num(n)) => SortKey::Num(*n),
+            Some(Item::Bool(b)) => SortKey::Num(if *b { 1.0 } else { 0.0 }),
+            Some(item) => SortKey::text(item.string_value(doc)),
+        }
+    }
+
+    /// The total order: `Empty < Num < Str`; numbers by value, with
+    /// NaN (which only a computed number can be) after every other
+    /// number; strings by bytes.
+    pub fn total_cmp(&self, other: &SortKey) -> std::cmp::Ordering {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match (self, other) {
+            (SortKey::Empty, SortKey::Empty) => Equal,
+            (SortKey::Empty, _) => Less,
+            (_, SortKey::Empty) => Greater,
+            (SortKey::Num(a), SortKey::Num(b)) => a
+                .partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (SortKey::Num(_), SortKey::Str(_)) => Less,
+            (SortKey::Str(_), SortKey::Num(_)) => Greater,
+            (SortKey::Str(a), SortKey::Str(b)) => a.cmp(b),
+        }
     }
 }
 
