@@ -243,7 +243,7 @@ fn measure_updates(doc: &Arc<Document>, iters: usize) -> Result<Measurement, Str
 /// `nalix::backend::sql::lower` emits them, run over the relational
 /// view. `(name, query, mega_iters, quick_iters)`.
 fn sql_workloads() -> Vec<(&'static str, sqlq::SqlQuery, usize, usize)> {
-    use sqlq::{FromItem, PathAxis, Pred, Projection, Scalar, SqlCmp, SqlQuery};
+    use sqlq::{CmpOp, FromItem, PathAxis, Pred, Projection, Scalar, SqlQuery};
     let child = |alias: &str, label: &str| Scalar::Nodes {
         alias: alias.to_string(),
         axis: PathAxis::Child,
@@ -257,12 +257,12 @@ fn sql_workloads() -> Vec<(&'static str, sqlq::SqlQuery, usize, usize)> {
         }],
         preds: vec![
             Pred::Cmp {
-                op: SqlCmp::Eq,
+                op: CmpOp::Eq,
                 lhs: child("b", "publisher"),
                 rhs: Scalar::Str("Addison-Wesley".to_string()),
             },
             Pred::Cmp {
-                op: SqlCmp::Gt,
+                op: CmpOp::Gt,
                 lhs: child("b", "year"),
                 rhs: Scalar::Num(1991.0),
             },

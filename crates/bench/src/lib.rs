@@ -20,7 +20,7 @@ pub const BENCH_QUERIES: [&str; 7] = [
 
 /// The canonical accepted English phrasing of each of the nine XMP
 /// user-study tasks, as `(task label, question)` pairs in paper order —
-/// the workload of the batch-throughput bench and the `batch` binary.
+/// the workload of the `loadgen` binary.
 pub fn xmp_questions() -> Vec<(&'static str, &'static str)> {
     userstudy::tasks::ALL_TASKS
         .iter()

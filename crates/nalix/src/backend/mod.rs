@@ -1,10 +1,11 @@
-//! The translation-backend abstraction: one validated parse tree, two
-//! target query languages.
+//! Translation backends: one validated parse tree, two target query
+//! languages.
 //!
 //! NaLIX's pipeline is backend-neutral up to and including the shared
 //! planner ([`crate::translate`]): parse → classify → validate →
 //! translate all operate on the sentence and the catalog alone. A
-//! *backend* decides what the plan compiles to and how it runs:
+//! *backend* decides what the plan compiles to and how it runs; the
+//! pipeline picks one by matching on [`BackendKind`]:
 //!
 //! - [`BackendKind::Xquery`] — the paper's target: the emitted
 //!   Schema-Free XQuery expression, evaluated by the [`xquery`] engine
@@ -19,11 +20,6 @@
 //! `docs/BACKENDS.md` for the methodology).
 
 pub mod sql;
-
-use crate::catalog::Catalog;
-use crate::token::ClassifiedTree;
-use crate::translate::{self, TranslateError, Translation};
-use xquery::Expr;
 
 /// Which translation backend answers a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -59,102 +55,6 @@ impl BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A typed, backend-specific query plan.
-#[derive(Debug, Clone)]
-pub enum QueryPlan {
-    /// A Schema-Free XQuery expression.
-    Xquery(Expr),
-    /// A query of the `sqlq` SQL subset.
-    Sql(sqlq::SqlQuery),
-}
-
-/// The output of [`Backend::compile`]: the typed plan plus everything
-/// shared introspection needs.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    /// Which backend produced the plan.
-    pub backend: BackendKind,
-    /// The typed plan.
-    pub plan: QueryPlan,
-    /// The shared planner's output (variable map, emitted FLWOR) — kept
-    /// so explain output can show both forms.
-    pub translation: Translation,
-}
-
-impl Compiled {
-    /// The plan pretty-printed in its own language (what `/query`
-    /// echoes and the golden snapshots pin).
-    pub fn query_text(&self) -> String {
-        match &self.plan {
-            QueryPlan::Xquery(e) => xquery::pretty::pretty(e),
-            QueryPlan::Sql(q) => sqlq::pretty(q),
-        }
-    }
-}
-
-/// A translation backend: validated parse tree + catalog in, typed
-/// query plan out.
-///
-/// Both implementations share the planner (`translate::translate`) and
-/// diverge only at emission, which is what makes their answer sets
-/// provably comparable: any difference is a lowering or executor bug,
-/// never a planning divergence.
-pub trait Backend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Compile a validated tree against a catalog into a typed plan.
-    fn compile(&self, tree: &ClassifiedTree, catalog: &Catalog)
-        -> Result<Compiled, TranslateError>;
-}
-
-/// The XQuery backend: compilation *is* the shared planner's emission.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct XqueryBackend;
-
-impl Backend for XqueryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Xquery
-    }
-
-    fn compile(
-        &self,
-        tree: &ClassifiedTree,
-        _catalog: &Catalog,
-    ) -> Result<Compiled, TranslateError> {
-        let translation = translate::translate(tree)?;
-        Ok(Compiled {
-            backend: BackendKind::Xquery,
-            plan: QueryPlan::Xquery(translation.query.clone()),
-            translation,
-        })
-    }
-}
-
-/// The SQL backend: the shared plan lowered to the `sqlq` subset.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SqlBackend;
-
-impl Backend for SqlBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sql
-    }
-
-    fn compile(
-        &self,
-        tree: &ClassifiedTree,
-        _catalog: &Catalog,
-    ) -> Result<Compiled, TranslateError> {
-        let translation = translate::translate(tree)?;
-        let query = sql::lower(&translation)?;
-        Ok(Compiled {
-            backend: BackendKind::Sql,
-            plan: QueryPlan::Sql(query),
-            translation,
-        })
     }
 }
 

@@ -24,11 +24,9 @@
 //! typed instead of silently).
 
 use crate::translate::{TranslateError, Translation};
-use sqlq::{
-    FromItem, OrderSpec, PathAxis, Pred, Projection, Scalar, SqlAgg, SqlCmp, SqlQuery, StrFn,
-};
+use sqlq::{FromItem, OrderSpec, PathAxis, Pred, Projection, Scalar, SqlQuery, StrFn};
 use std::collections::HashMap;
-use xquery::{AggFunc, Binding, CmpOp, Expr, OrderDir, PathRoot, Quantifier, Step, StepAxis};
+use xquery::{Binding, Expr, OrderDir, PathRoot, Quantifier, Step, StepAxis};
 
 fn err(msg: impl Into<String>) -> TranslateError {
     TranslateError {
@@ -45,27 +43,6 @@ pub fn lower(t: &Translation) -> Result<SqlQuery, TranslateError> {
 /// (the [`crate::backend::AnswerSet`] `ordered` flag).
 pub fn has_explicit_order(t: &Translation) -> bool {
     matches!(&t.query, Expr::Flwor { order_by, .. } if !order_by.is_empty())
-}
-
-fn cmp_op(op: CmpOp) -> SqlCmp {
-    match op {
-        CmpOp::Eq => SqlCmp::Eq,
-        CmpOp::Ne => SqlCmp::Ne,
-        CmpOp::Lt => SqlCmp::Lt,
-        CmpOp::Le => SqlCmp::Le,
-        CmpOp::Gt => SqlCmp::Gt,
-        CmpOp::Ge => SqlCmp::Ge,
-    }
-}
-
-fn agg_func(f: AggFunc) -> SqlAgg {
-    match f {
-        AggFunc::Count => SqlAgg::Count,
-        AggFunc::Sum => SqlAgg::Sum,
-        AggFunc::Min => SqlAgg::Min,
-        AggFunc::Max => SqlAgg::Max,
-        AggFunc::Avg => SqlAgg::Avg,
-    }
 }
 
 /// `$v` as a bare variable reference.
@@ -227,7 +204,7 @@ fn lower_scalar(e: &Expr, lets: &Lets<'_>) -> Result<Scalar, TranslateError> {
                 }
             };
             Ok(Scalar::Agg {
-                func: agg_func(*func),
+                func: *func,
                 query: Box::new(query),
             })
         }
@@ -249,7 +226,7 @@ fn lower_pred(e: &Expr, lets: &Lets<'_>) -> Result<Pred, TranslateError> {
             Ok(Pred::Mqf(aliases))
         }
         Expr::Cmp { op, lhs, rhs } => Ok(Pred::Cmp {
-            op: cmp_op(*op),
+            op: *op,
             lhs: lower_scalar(lhs, lets)?,
             rhs: lower_scalar(rhs, lets)?,
         }),

@@ -2,7 +2,7 @@
 //!
 //! Parse → classify → validate → translate is pure: the outcome depends
 //! only on the sentence and the (immutable) catalog. Interactive use and
-//! the batch runner both resubmit the same handful of questions — the
+//! the server both resubmit the same handful of questions — the
 //! user-study tasks, dashboard-style canned queries — so [`Nalix`]
 //! memoises outcomes keyed by a *normalized* question.
 //!

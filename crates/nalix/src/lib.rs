@@ -94,7 +94,6 @@
 //! ```
 
 pub mod backend;
-pub mod batch;
 pub mod binding;
 pub mod cache;
 pub mod catalog;
@@ -110,8 +109,7 @@ pub mod translate;
 pub mod validate;
 pub mod vocab;
 
-pub use backend::{AnswerSet, Backend, BackendKind, Compiled, QueryPlan};
-pub use batch::{BatchReply, BatchRunner};
+pub use backend::{AnswerSet, BackendKind};
 pub use cache::{CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use error::QueryError;
 pub use feedback::{Feedback, FeedbackKind, Severity};
@@ -200,8 +198,8 @@ impl Outcome {
 /// `Nalix` is `Send + Sync`: the document and catalog are immutable and
 /// the two caches — translation outcomes here, the value index inside
 /// the persistent [`Engine`] — are internally synchronized. A single
-/// instance can therefore be shared by many threads; see
-/// [`BatchRunner`] for the fan-out harness.
+/// instance can therefore be shared by many threads (the server's
+/// worker pool does exactly that).
 ///
 /// `Nalix` *shares ownership* of its document (`Arc<Document>`) rather
 /// than borrowing it, so every pipeline is `'static`: instances can be
@@ -949,7 +947,6 @@ mod tests {
     fn nalix_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Nalix>();
-        assert_send_sync::<BatchRunner>();
     }
 
     #[test]

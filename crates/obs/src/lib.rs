@@ -773,7 +773,7 @@ impl Default for StageSnapshot {
 }
 
 /// A point-in-time copy of a whole [`MetricsRegistry`]: plain data,
-/// mergeable across `BatchRunner` threads, diffable across runs, and
+/// mergeable across registries, diffable across runs, and
 /// renderable as a table ([`fmt::Display`]) or Prometheus text
 /// ([`MetricsSnapshot::to_prometheus`]).
 ///

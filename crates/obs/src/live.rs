@@ -16,8 +16,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Shards per [`ShardedCounter`]; must be a power of two. Eight shards
-/// cover the `BatchRunner` fan-out the repo benchmarks (2/4/8 threads)
-/// with one shard per thread in the common case.
+/// give each thread of a small worker pool (the server's workers, a
+/// query's FLWOR shards) its own shard in the common case.
 const COUNTER_SHARDS: usize = 8;
 
 /// A cache-line-padded atomic, so neighbouring shards never false-share.
@@ -419,7 +419,7 @@ thread_local! {
 /// volumes this API is for):
 ///
 /// - a thread that exits without calling [`flush_hot`] drops its tail
-///   (worker pools such as `nalix::BatchRunner` flush before exit);
+///   (the server's workers flush after every request);
 /// - the enabled check happens at *flush* time (via
 ///   [`MetricsRegistry::add`]), so a registry disabled mid-batch may
 ///   drop or keep up to one cell's worth.
@@ -449,8 +449,9 @@ pub fn count_hot(counter: Counter, n: u64) {
 /// Drain the calling thread's [`count_hot`] cells into the [`global()`]
 /// registry immediately. Called automatically when the calling thread
 /// snapshots the global registry; worker threads that record hot
-/// counts should call it before exiting (as `nalix::BatchRunner`
-/// does), since the cells are deliberately destructor-free.
+/// counts should call it before exiting (the server's workers call it
+/// after every request), since the cells are deliberately
+/// destructor-free.
 pub fn flush_hot() {
     let _ = HOT.try_with(|cells| {
         let reg = global();

@@ -14,64 +14,9 @@
 //! - aggregates are correlated scalar subqueries;
 //! - universal quantification is `NOT EXISTS (…)`.
 
-/// Comparison operators (general-comparison semantics: numeric when
-/// both sides parse as numbers, lexicographic otherwise, existential
-/// over multi-valued operands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlCmp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl std::fmt::Display for SqlCmp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SqlCmp::Eq => "=",
-            SqlCmp::Ne => "<>",
-            SqlCmp::Lt => "<",
-            SqlCmp::Le => "<=",
-            SqlCmp::Gt => ">",
-            SqlCmp::Ge => ">=",
-        })
-    }
-}
-
-/// Aggregate functions of scalar subqueries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlAgg {
-    /// `count(…)`
-    Count,
-    /// `sum(…)`
-    Sum,
-    /// `min(…)`
-    Min,
-    /// `max(…)`
-    Max,
-    /// `avg(…)`
-    Avg,
-}
-
-impl std::fmt::Display for SqlAgg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SqlAgg::Count => "count",
-            SqlAgg::Sum => "sum",
-            SqlAgg::Min => "min",
-            SqlAgg::Max => "max",
-            SqlAgg::Avg => "avg",
-        })
-    }
-}
+/// Comparisons and aggregates are the XQuery engine's own operator
+/// types, evaluated by its value layer ([`xquery::value`]).
+pub use xquery::{AggFunc, CmpOp};
 
 /// String predicates (mapped from the XQuery `contains`/`starts-with`/
 /// `ends-with` calls).
@@ -132,7 +77,7 @@ pub enum Scalar {
     /// A correlated scalar subquery under an aggregate.
     Agg {
         /// The aggregate function.
-        func: SqlAgg,
+        func: AggFunc,
         /// The subquery producing the aggregated column.
         query: Box<SqlQuery>,
     },
@@ -143,8 +88,8 @@ pub enum Scalar {
 pub enum Pred {
     /// General comparison, existential over multi-valued scalars.
     Cmp {
-        /// Operator.
-        op: SqlCmp,
+        /// Operator (printed `<>` for [`CmpOp::Ne`]).
+        op: CmpOp,
         /// Left operand.
         lhs: Scalar,
         /// Right operand.

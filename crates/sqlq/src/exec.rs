@@ -20,13 +20,14 @@
 //! product — the relational mirror of the engine's MLCA partner
 //! enumeration.
 //!
-//! Value semantics mirror the XQuery engine item for item: scalars are
-//! sequence-valued, comparisons are existential and numeric when both
-//! sides parse as finite numbers, aggregates reproduce `count`/`sum`/
-//! `avg`/`min`/`max` including empty-input and type-error behaviour,
-//! `ORDER BY` sorts with the engine's total order
-//! ([`xquery::SortKey`]), and output strings atomize exactly as the
-//! engine's `strings()` does.
+//! Values are the engine's own: a scalar yields an [`xquery::Item`]
+//! sequence (a row is [`Item::Node`], a literal or aggregate result an
+//! [`Item::Str`] or [`Item::Num`]), comparisons are
+//! [`xquery::value::general_compare`], aggregates
+//! [`xquery::value::aggregate`], `ORDER BY` sorts with
+//! [`xquery::SortKey`], and output strings atomize with
+//! [`Item::atom_value`]. Both backends therefore share one value layer
+//! rather than two copies of it.
 //!
 //! A correlated scalar or `EXISTS` subquery that reads its outer
 //! aliases only as `strval(alias)` operands of comparisons — the
@@ -35,22 +36,24 @@
 //! call; repeats are answered from a memo and counted by
 //! [`SqlOutput::memo_hits`].
 
-use crate::ast::{FromItem, PathAxis, Pred, Projection, Scalar, SqlAgg, SqlCmp, SqlQuery, StrFn};
+use crate::ast::{FromItem, PathAxis, Pred, Projection, Scalar, SqlQuery, StrFn};
 use relstore::Shredding;
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use xquery::value::parse_finite;
-use xquery::SortKey;
+use xquery::value::{aggregate, general_compare};
+use xquery::{AggFunc, Item, SortKey};
 
-/// Executor failure: a malformed query (unknown alias), a type error
-/// (`sum` over non-numeric values), or an exhausted tuple budget.
+/// Executor failure: a malformed query (unknown alias), a row the
+/// document does not hold, a type error (`sum` over non-numeric
+/// values), or an exhausted tuple budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SqlError {
     /// A scalar or predicate referenced an alias no `FROM` item binds.
     UnknownAlias(String),
+    /// A bound row's `pre` names no node of the document.
+    MissingRow(u32),
     /// An aggregate met a value outside its domain.
     TypeError(String),
     /// The tuple budget ran out before the query finished.
@@ -61,6 +64,7 @@ impl fmt::Display for SqlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SqlError::UnknownAlias(a) => write!(f, "unknown alias `{a}`"),
+            SqlError::MissingRow(pre) => write!(f, "no row at pre {pre}"),
             SqlError::TypeError(m) => write!(f, "type error: {m}"),
             SqlError::Budget(n) => write!(f, "tuple budget of {n} exhausted"),
         }
@@ -77,55 +81,8 @@ pub struct ExecLimits {
     pub max_tuples: Option<u64>,
 }
 
-/// A single value (the executor's item type).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SqlVal {
-    /// A row of the `node` table, by pre.
-    Node(u32),
-    /// A string.
-    Str(String),
-    /// A number.
-    Num(f64),
-}
-
-impl SqlVal {
-    /// The value's string form (nodes atomize through the view).
-    pub fn render<'a>(&'a self, shred: &Shredding<'a>) -> Cow<'a, str> {
-        match self {
-            SqlVal::Node(pre) => shred.atomize(*pre),
-            SqlVal::Str(s) => Cow::Borrowed(s),
-            SqlVal::Num(n) => Cow::Owned(crate::pretty::format_number(*n)),
-        }
-    }
-
-    fn numeric(&self, shred: &Shredding<'_>) -> Option<f64> {
-        match self {
-            SqlVal::Num(n) => Some(*n),
-            SqlVal::Str(s) => parse_finite(s),
-            SqlVal::Node(pre) => parse_finite(&shred.atomize(*pre)),
-        }
-    }
-}
-
-/// Compare two values with the engine's `compare_items` semantics:
-/// numeric when both sides are numeric, lexicographic otherwise.
-pub fn compare_vals(shred: &Shredding<'_>, a: &SqlVal, b: &SqlVal) -> Ordering {
-    let sa = a.render(shred);
-    let sb = b.render(shred);
-    let num = |v: &SqlVal, s: &str| -> Option<f64> {
-        match v {
-            SqlVal::Num(n) => Some(*n),
-            _ => parse_finite(s),
-        }
-    };
-    match (num(a, &sa), num(b, &sb)) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-        _ => sa.cmp(&sb),
-    }
-}
-
 /// One result row: the values of each `SELECT` item (sequence-valued).
-type RowValues = Vec<Vec<SqlVal>>;
+type RowValues = Vec<Vec<Item>>;
 
 /// The result set of a query.
 #[derive(Debug, Clone)]
@@ -160,20 +117,21 @@ impl SqlOutput {
     /// emits every item value separately; a `Concat` projection emits
     /// one concatenated string per row.
     pub fn strings(&self, shred: &Shredding<'_>) -> Vec<String> {
+        let doc = shred.doc();
         let mut out = Vec::new();
         for row in &self.rows {
             if self.projection_concat {
                 let mut s = String::new();
                 for vals in row {
                     for v in vals {
-                        s.push_str(&v.render(shred));
+                        s.push_str(&v.atom_value(doc));
                     }
                 }
                 out.push(s);
             } else {
                 for vals in row {
                     for v in vals {
-                        out.push(v.render(shred).into_owned());
+                        out.push(v.string_value(doc));
                     }
                 }
             }
@@ -204,7 +162,7 @@ pub fn execute(
         env.push_tuple(q, &tuple);
         let mut keys = Vec::with_capacity(q.order_by.len());
         for k in &q.order_by {
-            keys.push(exec.sort_key(&exec.scalar(&k.key, &env)?));
+            keys.push(SortKey::first(shred.doc(), &exec.scalar(&k.key, &env)?));
         }
         keyed.push((keys, tuple));
     }
@@ -286,7 +244,7 @@ struct Exec<'s> {
     limits: ExecLimits,
     tuples: Cell<u64>,
     /// Results of memoisable scalar subqueries, for this execution.
-    agg_memo: RefCell<HashMap<MemoKey, Vec<SqlVal>>>,
+    agg_memo: RefCell<HashMap<MemoKey, Vec<Item>>>,
     /// Emptiness of memoisable `EXISTS` subqueries, for this execution.
     exists_memo: RefCell<HashMap<MemoKey, bool>>,
     memo_hits: Cell<u64>,
@@ -299,16 +257,6 @@ impl<'s> Exec<'s> {
         match self.limits.max_tuples {
             Some(cap) if n > cap => Err(SqlError::Budget(cap)),
             _ => Ok(()),
-        }
-    }
-
-    /// The `ORDER BY` key of a scalar's values, as the engine builds
-    /// it from a key sequence ([`SortKey::first`]).
-    fn sort_key(&self, vals: &[SqlVal]) -> SortKey {
-        match vals.first() {
-            None => SortKey::Empty,
-            Some(SqlVal::Num(n)) => SortKey::Num(*n),
-            Some(v) => SortKey::text(v.render(self.shred).into_owned()),
         }
     }
 
@@ -547,10 +495,19 @@ impl<'s> Exec<'s> {
             .ok_or_else(|| SqlError::UnknownAlias(alias.to_owned()))
     }
 
-    fn scalar(&self, s: &Scalar, env: &Env) -> Result<Vec<SqlVal>, SqlError> {
+    /// The row at `pre` as the engine's node item.
+    fn node(&self, pre: u32) -> Result<Item, SqlError> {
+        self.shred
+            .doc()
+            .node_at_pre(pre)
+            .map(Item::Node)
+            .ok_or(SqlError::MissingRow(pre))
+    }
+
+    fn scalar(&self, s: &Scalar, env: &Env) -> Result<Vec<Item>, SqlError> {
         match s {
-            Scalar::Pre(a) => Ok(vec![SqlVal::Num(f64::from(self.resolve(a, env)?))]),
-            Scalar::Val(a) => Ok(vec![SqlVal::Node(self.resolve(a, env)?)]),
+            Scalar::Pre(a) => Ok(vec![Item::Num(f64::from(self.resolve(a, env)?))]),
+            Scalar::Val(a) => Ok(vec![self.node(self.resolve(a, env)?)?]),
             Scalar::Nodes {
                 alias,
                 axis,
@@ -577,22 +534,17 @@ impl<'s> Exec<'s> {
                     }
                 }
                 pres.sort_unstable();
-                Ok(pres.into_iter().map(SqlVal::Node).collect())
+                pres.into_iter().map(|pre| self.node(pre)).collect()
             }
-            Scalar::Str(v) => Ok(vec![SqlVal::Str(v.clone())]),
-            Scalar::Num(n) => Ok(vec![SqlVal::Num(*n)]),
+            Scalar::Str(v) => Ok(vec![Item::Str(v.clone())]),
+            Scalar::Num(n) => Ok(vec![Item::Num(*n)]),
             Scalar::Agg { func, query } => self.memoised(query, env, &self.agg_memo, || {
                 self.aggregate(*func, query, env)
             }),
         }
     }
 
-    fn aggregate(
-        &self,
-        func: SqlAgg,
-        query: &SqlQuery,
-        env: &Env,
-    ) -> Result<Vec<SqlVal>, SqlError> {
+    fn aggregate(&self, func: AggFunc, query: &SqlQuery, env: &Env) -> Result<Vec<Item>, SqlError> {
         let mut env = env.clone();
         let tuples = self.enumerate(query, &mut env)?;
         // Collect the aggregated column in tuple order (matters for
@@ -600,7 +552,7 @@ impl<'s> Exec<'s> {
         let items = match &query.projection {
             Projection::Columns(items) | Projection::Concat(items) => items,
         };
-        let mut vals: Vec<SqlVal> = Vec::new();
+        let mut vals: Vec<Item> = Vec::new();
         let base = env.bound.len();
         // Tuple order must match the subquery's ORDER BY (the lowering
         // appends pre tiebreakers); enumerate() yields document order
@@ -612,54 +564,7 @@ impl<'s> Exec<'s> {
                 vals.extend(self.scalar(item, &env)?);
             }
         }
-        env.truncate(base);
-        match func {
-            SqlAgg::Count => Ok(vec![SqlVal::Num(vals.len() as f64)]),
-            SqlAgg::Sum => {
-                let mut total = 0.0;
-                for v in &vals {
-                    total += v.numeric(self.shred).ok_or_else(|| {
-                        SqlError::TypeError(format!(
-                            "sum() over non-numeric value `{}`",
-                            v.render(self.shred)
-                        ))
-                    })?;
-                }
-                Ok(vec![SqlVal::Num(total)])
-            }
-            SqlAgg::Avg => {
-                if vals.is_empty() {
-                    return Ok(vec![]);
-                }
-                let mut total = 0.0;
-                for v in &vals {
-                    total += v.numeric(self.shred).ok_or_else(|| {
-                        SqlError::TypeError(format!(
-                            "avg() over non-numeric value `{}`",
-                            v.render(self.shred)
-                        ))
-                    })?;
-                }
-                Ok(vec![SqlVal::Num(total / vals.len() as f64)])
-            }
-            SqlAgg::Min | SqlAgg::Max => {
-                let want = if matches!(func, SqlAgg::Min) {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                let mut iter = vals.into_iter();
-                let Some(mut best) = iter.next() else {
-                    return Ok(vec![]);
-                };
-                for v in iter {
-                    if compare_vals(self.shred, &v, &best) == want {
-                        best = v;
-                    }
-                }
-                Ok(vec![best])
-            }
-        }
+        aggregate(self.shred.doc(), func, &vals).map_err(SqlError::TypeError)
     }
 
     fn pred(&self, p: &Pred, env: &Env) -> Result<bool, SqlError> {
@@ -667,30 +572,14 @@ impl<'s> Exec<'s> {
             Pred::Cmp { op, lhs, rhs } => {
                 let l = self.scalar(lhs, env)?;
                 let r = self.scalar(rhs, env)?;
-                for a in &l {
-                    for b in &r {
-                        let ord = compare_vals(self.shred, a, b);
-                        let ok = match op {
-                            SqlCmp::Eq => ord == Ordering::Equal,
-                            SqlCmp::Ne => ord != Ordering::Equal,
-                            SqlCmp::Lt => ord == Ordering::Less,
-                            SqlCmp::Le => ord != Ordering::Greater,
-                            SqlCmp::Gt => ord == Ordering::Greater,
-                            SqlCmp::Ge => ord != Ordering::Less,
-                        };
-                        if ok {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
+                Ok(general_compare(self.shred.doc(), *op, &l, &r))
             }
             Pred::StrFn { func, lhs, rhs } => {
                 let first = |s: &Scalar| -> Result<String, SqlError> {
                     Ok(self
                         .scalar(s, env)?
                         .first()
-                        .map(|v| v.render(self.shred).into_owned())
+                        .map(|v| v.string_value(self.shred.doc()))
                         .unwrap_or_default())
                 };
                 let a = first(lhs)?;

@@ -26,19 +26,23 @@
 //! - [`pretty()`] — renders a query as SQL text (served by `/query`,
 //!   snapshotted by the golden tests).
 //! - [`exec`] — a panic-free nested-loop executor over a
-//!   [`relstore::Shredding`], with conjunct pushdown and the XQuery
-//!   engine's value semantics (existential general comparison,
-//!   numeric-when-both-parse ordering, engine-identical aggregates and
-//!   atomization), so both backends produce the same answer sets.
+//!   [`relstore::Shredding`], with conjunct pushdown.
+//!
+//! The value layer is shared, not mirrored: the AST's operators are the
+//! engine's [`CmpOp`] and [`AggFunc`], and the executor's values are
+//! [`xquery::Item`]s, compared, aggregated, sorted and atomized by
+//! [`xquery::value`]. The two backends therefore cannot drift apart on
+//! what a comparison or an aggregate means; only plan and enumeration
+//! are `sqlq`'s own.
 
 pub mod ast;
 pub mod exec;
 pub mod pretty;
 
 pub use ast::{
-    FromItem, OrderSpec, PathAxis, Pred, Projection, Scalar, SqlAgg, SqlCmp, SqlQuery, StrFn,
+    AggFunc, CmpOp, FromItem, OrderSpec, PathAxis, Pred, Projection, Scalar, SqlQuery, StrFn,
 };
-pub use exec::{compare_vals, execute, ExecLimits, SqlError, SqlOutput, SqlVal};
+pub use exec::{execute, ExecLimits, SqlError, SqlOutput};
 pub use pretty::pretty;
 
 #[cfg(test)]
@@ -83,7 +87,7 @@ mod tests {
             preds: vec![
                 Pred::Mqf(vec!["v1".into(), "v2".into()]),
                 Pred::Cmp {
-                    op: SqlCmp::Lt,
+                    op: CmpOp::Lt,
                     lhs: val("v2"),
                     rhs: Scalar::Num(50.0),
                 },
@@ -121,10 +125,10 @@ mod tests {
             preds: vec![
                 Pred::Mqf(vec!["v1".into(), "v2".into()]),
                 Pred::Cmp {
-                    op: SqlCmp::Eq,
+                    op: CmpOp::Eq,
                     lhs: val("v2"),
                     rhs: Scalar::Agg {
-                        func: SqlAgg::Min,
+                        func: AggFunc::Min,
                         query: Box::new(SqlQuery {
                             projection: Projection::Columns(vec![val("v3")]),
                             from: vec![from("v3", &["price"])],
@@ -149,9 +153,9 @@ mod tests {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["book"])],
             preds: vec![Pred::Cmp {
-                op: SqlCmp::Eq,
+                op: CmpOp::Eq,
                 lhs: Scalar::Agg {
-                    func: SqlAgg::Count,
+                    func: AggFunc::Count,
                     query: Box::new(SqlQuery {
                         projection: Projection::Columns(vec![val("q1")]),
                         from: vec![from("q1", &["price"])],
@@ -175,7 +179,7 @@ mod tests {
         let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![Scalar::Agg {
-                func: SqlAgg::Count,
+                func: AggFunc::Count,
                 query: Box::new(SqlQuery {
                     projection: Projection::Columns(vec![val("v1")]),
                     from: vec![from("v1", &["isbn"])],
@@ -196,7 +200,7 @@ mod tests {
         let s = Shredding::build(&d);
         let q = SqlQuery {
             projection: Projection::Columns(vec![Scalar::Agg {
-                func: SqlAgg::Sum,
+                func: AggFunc::Sum,
                 query: Box::new(SqlQuery {
                     projection: Projection::Columns(vec![val("v1")]),
                     from: vec![from("v1", &["title"])],
@@ -255,7 +259,7 @@ mod tests {
                     preds: vec![
                         Pred::Mqf(vec!["q1".into(), "v1".into()]),
                         Pred::Cmp {
-                            op: SqlCmp::Ge,
+                            op: CmpOp::Ge,
                             lhs: val("q1"),
                             rhs: Scalar::Num(50.0),
                         },
@@ -280,7 +284,7 @@ mod tests {
             }]),
             from: vec![from("v1", &["book"])],
             preds: vec![Pred::Cmp {
-                op: SqlCmp::Eq,
+                op: CmpOp::Eq,
                 lhs: Scalar::Nodes {
                     alias: "v1".into(),
                     axis: PathAxis::Descendant,
@@ -353,13 +357,13 @@ mod tests {
 
     #[test]
     fn pretty_prints_the_subset() {
-        let q = SqlQuery {
+        let mut q = SqlQuery {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["title"]), from("v2", &["price"])],
             preds: vec![
                 Pred::Mqf(vec!["v1".into(), "v2".into()]),
                 Pred::Cmp {
-                    op: SqlCmp::Lt,
+                    op: CmpOp::Lt,
                     lhs: val("v2"),
                     rhs: Scalar::Num(50.0),
                 },
@@ -380,6 +384,13 @@ mod tests {
              \x20 AND strval(v2) < 50\n\
              ORDER BY v1.pre\n"
         );
+        // The engine's `!=` is spelled the SQL way.
+        q.preds[1] = Pred::Cmp {
+            op: CmpOp::Ne,
+            lhs: val("v2"),
+            rhs: Scalar::Num(50.0),
+        };
+        assert!(pretty(&q).contains("  AND strval(v2) <> 50\n"));
     }
 
     #[test]
@@ -402,7 +413,7 @@ mod tests {
             preds: vec![
                 Pred::Mqf(vec!["t".into(), "p".into()]),
                 Pred::Cmp {
-                    op: SqlCmp::Lt,
+                    op: CmpOp::Lt,
                     lhs: val("p"),
                     rhs: Scalar::Num(50.0),
                 },
@@ -419,9 +430,9 @@ mod tests {
             projection: Projection::Columns(vec![val("v1")]),
             from: vec![from("v1", &["price"])],
             preds: vec![Pred::Cmp {
-                op: SqlCmp::Eq,
+                op: CmpOp::Eq,
                 lhs: Scalar::Agg {
-                    func: SqlAgg::Count,
+                    func: AggFunc::Count,
                     query: Box::new(SqlQuery {
                         projection: Projection::Columns(vec![val("v2")]),
                         from: vec![from("v2", &["price"])],
@@ -441,7 +452,7 @@ mod tests {
         let s = Shredding::build(&d);
         // Prices 65.95, 65.95, 39.95: the second 65.95 reuses the first.
         let q = prices_shared_twice(Pred::Cmp {
-            op: SqlCmp::Eq,
+            op: CmpOp::Eq,
             lhs: val("v2"),
             rhs: val("v1"),
         });

@@ -1,8 +1,9 @@
 //! Render a [`SqlQuery`] as SQL text (the form served by `/query` and
 //! snapshotted by the golden tests).
 
-use crate::ast::{FromItem, Pred, Projection, Scalar, SqlQuery};
+use crate::ast::{AggFunc, CmpOp, FromItem, Pred, Projection, Scalar, SqlQuery};
 use std::fmt::Write;
+use xquery::value::format_number;
 
 /// Pretty-print a query, multi-line, two-space indent per subquery
 /// level.
@@ -18,7 +19,7 @@ fn pad(out: &mut String, depth: usize) {
     }
 }
 
-fn write_query(out: &mut String, q: &SqlQuery, depth: usize, agg: Option<crate::ast::SqlAgg>) {
+fn write_query(out: &mut String, q: &SqlQuery, depth: usize, agg: Option<AggFunc>) {
     pad(out, depth);
     out.push_str("SELECT ");
     if let Some(f) = agg {
@@ -120,16 +121,6 @@ fn quoted(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
 }
 
-/// XPath-1.0-flavoured number formatting, kept in step with the XQuery
-/// engine so both backends print identical literals.
-pub fn format_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
 fn write_scalar(out: &mut String, s: &Scalar, depth: usize) {
     match s {
         Scalar::Pre(a) => {
@@ -173,7 +164,14 @@ fn write_pred(out: &mut String, p: &Pred, depth: usize) {
     match p {
         Pred::Cmp { op, lhs, rhs } => {
             write_scalar(out, lhs, depth);
-            let _ = write!(out, " {op} ");
+            // SQL spells inequality `<>`; the other operators read as in
+            // XQuery.
+            match op {
+                CmpOp::Ne => out.push_str(" <> "),
+                op => {
+                    let _ = write!(out, " {op} ");
+                }
+            }
             write_scalar(out, rhs, depth);
         }
         Pred::StrFn { func, lhs, rhs } => {

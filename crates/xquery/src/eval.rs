@@ -8,10 +8,12 @@
 //! (Fig. 9) are meant to be read, and it keeps `mqf()` a simple
 //! per-tuple predicate.
 
-use crate::ast::{AggFunc, Binding, CmpOp, Expr, OrderDir, PathRoot, Quantifier, Step, StepAxis};
+use crate::ast::{Binding, CmpOp, Expr, OrderDir, PathRoot, Quantifier, Step, StepAxis};
 use crate::mlca::set_meaningfully_related;
 use crate::parser::{parse, ParseError};
-use crate::value::{compare_items, effective_boolean, ConstructedElem, Item, Sequence, SortKey};
+use crate::value::{
+    aggregate, effective_boolean, general_compare, ConstructedElem, Item, Sequence, SortKey,
+};
 use std::cell::Cell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
@@ -365,8 +367,8 @@ impl From<ParseError> for EvalError {
 /// evaluator creates one environment per candidate tuple. Lookup walks
 /// the (short — one entry per in-scope variable) chain, newest first,
 /// so inner bindings shadow outer ones. The spine is `Arc`-linked so
-/// environments can cross threads (the batch runner evaluates
-/// independent queries on a shared engine).
+/// environments can cross threads (a sharded FLWOR loop hands them to
+/// its worker shards).
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     head: Option<std::sync::Arc<EnvNode>>,
@@ -420,7 +422,7 @@ impl Env {
 /// The engine is `Send + Sync`: evaluation itself only reads the
 /// document, and the lazily built value index lives behind a sharded
 /// `RwLock` cache, so one engine can serve many threads concurrently
-/// (see `nalix::BatchRunner`).
+/// (the server's workers share one per document).
 ///
 /// The engine *shares ownership* of its document (`Arc<Document>`)
 /// rather than borrowing it, so an engine is always `'static`: it can
@@ -502,8 +504,8 @@ impl ValueIndexCache {
 }
 
 /// Canonical key for equality-index lookups: matches the equality
-/// semantics of [`compare_items`] (numeric values compare numerically,
-/// others as exact strings).
+/// semantics of [`crate::value::compare_items`] (numeric values compare
+/// numerically, others as exact strings).
 fn canon_value(v: &str) -> String {
     match crate::value::parse_finite(v) {
         Some(n) => crate::value::format_number(n),
@@ -515,8 +517,9 @@ fn canon_value(v: &str) -> String {
 /// only as direct operands of value comparisons — the paper's Fig. 6
 /// grouping shape, `$v4 = $v1` against a fresh copy of the core token.
 /// Such a body's value is a function of the kinds and atomized strings
-/// of those variables' items (that is all [`compare_items`] reads), so
-/// a FLWOR may evaluate it once per distinct key ([`memo_key`]).
+/// of those variables' items (that is all [`crate::value::compare_items`]
+/// reads), so a FLWOR may evaluate it once per distinct key
+/// ([`memo_key`]).
 /// `None` when an outer variable is used any other way: in a path
 /// (`$v1/author`), as an `mqf()` or function argument, under an
 /// aggregate (`count($v1)`), or as a result. `Some(vec![])` means the
@@ -821,7 +824,7 @@ impl Engine {
             Expr::Cmp { op, lhs, rhs } => {
                 let l = self.eval_inner(lhs, env, guard, depth + 1)?;
                 let r = self.eval_inner(rhs, env, guard, depth + 1)?;
-                Ok(vec![Item::Bool(self.general_compare(*op, &l, &r))])
+                Ok(vec![Item::Bool(general_compare(&self.doc, *op, &l, &r))])
             }
             Expr::And(parts) => {
                 for p in parts {
@@ -845,7 +848,7 @@ impl Engine {
             }
             Expr::Agg { func, arg } => {
                 let seq = self.eval_inner(arg, env, guard, depth + 1)?;
-                self.aggregate(*func, &seq)
+                aggregate(&self.doc, *func, &seq).map_err(EvalError::TypeError)
             }
             Expr::Mqf(args) => {
                 guard.mqf_checks.set(guard.mqf_checks.get() + 1);
@@ -1682,76 +1685,6 @@ impl Engine {
         step.names.iter().any(|name| name == label)
     }
 
-    fn general_compare(&self, op: CmpOp, lhs: &Sequence, rhs: &Sequence) -> bool {
-        for a in lhs {
-            for b in rhs {
-                let ord = compare_items(&self.doc, a, b);
-                let ok = match op {
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                };
-                if ok {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn aggregate(&self, func: AggFunc, seq: &Sequence) -> Result<Sequence, EvalError> {
-        match func {
-            AggFunc::Count => Ok(vec![Item::Num(seq.len() as f64)]),
-            AggFunc::Sum => {
-                let mut total = 0.0;
-                for item in seq {
-                    total += item.numeric_value(&self.doc).ok_or_else(|| {
-                        EvalError::TypeError(format!(
-                            "sum() over non-numeric value `{}`",
-                            item.string_value(&self.doc)
-                        ))
-                    })?;
-                }
-                Ok(vec![Item::Num(total)])
-            }
-            AggFunc::Avg => {
-                if seq.is_empty() {
-                    return Ok(vec![]);
-                }
-                let mut total = 0.0;
-                for item in seq {
-                    total += item.numeric_value(&self.doc).ok_or_else(|| {
-                        EvalError::TypeError(format!(
-                            "avg() over non-numeric value `{}`",
-                            item.string_value(&self.doc)
-                        ))
-                    })?;
-                }
-                Ok(vec![Item::Num(total / seq.len() as f64)])
-            }
-            AggFunc::Min | AggFunc::Max => {
-                if seq.is_empty() {
-                    return Ok(vec![]);
-                }
-                let want = if matches!(func, AggFunc::Min) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                };
-                let mut best = &seq[0];
-                for item in &seq[1..] {
-                    if compare_items(&self.doc, item, best) == want {
-                        best = item;
-                    }
-                }
-                Ok(vec![best.clone()])
-            }
-        }
-    }
-
     fn call(
         &self,
         name: &str,
@@ -2182,6 +2115,25 @@ mod tests {
         assert!(run(&d, "min(doc()//nothing)").is_empty());
         assert!(run(&d, "avg(doc()//nothing)").is_empty());
         assert_eq!(run(&d, "sum(doc()//nothing)"), vec!["0"]);
+    }
+
+    #[test]
+    fn a_computed_nan_equals_no_number() {
+        assert_eq!(run(&bib(), r#"number("x") = 5"#), vec!["false"]);
+    }
+
+    #[test]
+    fn a_computed_nan_differs_from_every_number() {
+        assert_eq!(run(&bib(), r#"number("x") != 5"#), vec!["true"]);
+    }
+
+    #[test]
+    fn a_where_clause_over_computed_nans_keeps_nothing() {
+        let out = run(
+            &bib(),
+            "for $t in doc()//title where number($t) = 5 return $t",
+        );
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! Runtime values: items, sequences, atomization and comparison.
+//! Runtime values: items, sequences, atomization, comparison and
+//! aggregation. This is the one value layer of both backends: the
+//! XQuery engine and the `sqlq` executor compare with
+//! [`general_compare`], aggregate with [`aggregate`] and sort with
+//! [`SortKey`].
 
+use crate::ast::{AggFunc, CmpOp};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use xmldb::{Document, NodeId};
 
 /// A constructed element value, produced by computed element
@@ -51,8 +58,7 @@ impl Item {
     /// attributes, single-text leaf elements — the overwhelming
     /// majority). The allocation-free form of [`Item::string_value`];
     /// comparisons and index probes go through this.
-    pub fn atom_value<'a>(&'a self, doc: &'a Document) -> std::borrow::Cow<'a, str> {
-        use std::borrow::Cow;
+    pub fn atom_value<'a>(&'a self, doc: &'a Document) -> Cow<'a, str> {
         match self {
             Item::Node(id) => doc.atom_value(*id),
             Item::Str(s) => Cow::Borrowed(s.as_str()),
@@ -68,14 +74,11 @@ impl Item {
         }
     }
 
-    /// Atomized numeric value, when the item looks like a number (see
-    /// [`parse_finite`]).
+    /// Atomized numeric value, when the item looks like a number: a
+    /// number is itself, a boolean 0 or 1, and anything else its
+    /// atomized string read by [`parse_finite`].
     pub fn numeric_value(&self, doc: &Document) -> Option<f64> {
-        match self {
-            Item::Num(n) => Some(*n),
-            Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => parse_finite(&self.atom_value(doc)),
-        }
+        Atom::of(doc, self).num
     }
 
     /// True for node items.
@@ -101,33 +104,120 @@ pub fn format_number(n: f64) -> String {
 /// a *finite* number. Every place that decides whether a string value
 /// is numeric goes through here. Rust's `f64` parser also accepts
 /// `"NaN"`, `"inf"` and `"Infinity"`; those are words in a document (an
-/// author called "Nan"), and as NaN they would compare equal to every
-/// number.
+/// author called "Nan"), and as NaN such an author would not even equal
+/// the literal `"Nan"`.
 pub fn parse_finite(s: &str) -> Option<f64> {
     s.trim().parse::<f64>().ok().filter(|n| n.is_finite())
 }
 
-/// Compare two atomized items: numerically when both sides are numeric,
-/// lexicographically otherwise. This is general comparison's order; it
-/// is not transitive over a mix of numbers and other strings (`"2" <
-/// "10"` as numbers, `"10" < "1a" < "2"` as strings), so `order by`
-/// sorts with [`SortKey`] instead.
-pub fn compare_items(doc: &Document, a: &Item, b: &Item) -> std::cmp::Ordering {
-    // Atomize each side once, borrowed where possible, and derive the
-    // numeric view from the same string — the hot path of predicate
-    // scans performs zero allocations per comparison.
-    let sa = a.atom_value(doc);
-    let sb = b.atom_value(doc);
-    let num = |item: &Item, s: &str| -> Option<f64> {
-        match item {
+/// An item atomized once: its string value and, when the item is
+/// numeric ([`Item::numeric_value`]), its number, derived from the same
+/// string. Comparison, aggregation and sort keys all read items through
+/// this.
+struct Atom<'a> {
+    text: Cow<'a, str>,
+    num: Option<f64>,
+}
+
+impl<'a> Atom<'a> {
+    fn of(doc: &'a Document, item: &'a Item) -> Atom<'a> {
+        let text = item.atom_value(doc);
+        let num = match item {
             Item::Num(n) => Some(*n),
             Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => parse_finite(s),
+            _ => parse_finite(&text),
+        };
+        Atom { text, num }
+    }
+
+    /// Numerically when both sides are numeric, by bytes otherwise;
+    /// `None` when both are numbers and either is NaN (which only a
+    /// computed number can be).
+    fn compare(&self, other: &Atom<'_>) -> Option<Ordering> {
+        match (self.num, other.num) {
+            (Some(x), Some(y)) => x.partial_cmp(&y),
+            _ => Some(self.text.cmp(&other.text)),
         }
+    }
+}
+
+/// Compare two atomized items: numerically when both sides are numeric,
+/// lexicographically otherwise; `None` when both are numbers and either
+/// is NaN. This is general comparison's order; it is not transitive
+/// over a mix of numbers and other strings (`"2" < "10"` as numbers,
+/// `"10" < "1a" < "2"` as strings), so `order by` sorts with
+/// [`SortKey`] instead.
+pub fn compare_items(doc: &Document, a: &Item, b: &Item) -> Option<Ordering> {
+    // Atomize each side once, borrowed where possible — the hot path of
+    // predicate scans performs zero allocations per comparison.
+    Atom::of(doc, a).compare(&Atom::of(doc, b))
+}
+
+/// Does `op` hold between two items [`compare_items`] ordered `ord`?
+/// An unordered pair (NaN) satisfies only `!=`, as in XPath.
+fn holds(op: CmpOp, ord: Option<Ordering>) -> bool {
+    match (op, ord) {
+        (CmpOp::Ne, ord) => ord != Some(Ordering::Equal),
+        (_, None) => false,
+        (CmpOp::Eq, Some(o)) => o == Ordering::Equal,
+        (CmpOp::Lt, Some(o)) => o == Ordering::Less,
+        (CmpOp::Le, Some(o)) => o != Ordering::Greater,
+        (CmpOp::Gt, Some(o)) => o == Ordering::Greater,
+        (CmpOp::Ge, Some(o)) => o != Ordering::Less,
+    }
+}
+
+/// General comparison: true when `op` holds for some item of `lhs`
+/// and some item of `rhs` (existential over both sequences).
+pub fn general_compare(doc: &Document, op: CmpOp, lhs: &[Item], rhs: &[Item]) -> bool {
+    lhs.iter()
+        .any(|a| rhs.iter().any(|b| holds(op, compare_items(doc, a, b))))
+}
+
+/// `count`, `sum`, `avg`, `min` or `max` of `seq`: one item, or none
+/// for `avg`, `min` and `max` of an empty sequence. `Err` carries the
+/// type error of `sum` or `avg` over a non-numeric item.
+///
+/// `min` and `max` atomize each item once and scan in sequence order,
+/// keeping the first best item: an item replaces the best so far only
+/// when [`compare_items`] orders it strictly before (`min`) or after
+/// (`max`) it.
+pub fn aggregate(doc: &Document, func: AggFunc, seq: &[Item]) -> Result<Sequence, String> {
+    let total = |name: &str| -> Result<f64, String> {
+        let mut total = 0.0;
+        for item in seq {
+            total += item.numeric_value(doc).ok_or_else(|| {
+                format!(
+                    "{name}() over non-numeric value `{}`",
+                    item.string_value(doc)
+                )
+            })?;
+        }
+        Ok(total)
     };
-    match (num(a, &sa), num(b, &sb)) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-        _ => sa.cmp(&sb),
+    match func {
+        AggFunc::Count => Ok(vec![Item::Num(seq.len() as f64)]),
+        AggFunc::Sum => Ok(vec![Item::Num(total("sum")?)]),
+        AggFunc::Avg if seq.is_empty() => Ok(vec![]),
+        AggFunc::Avg => Ok(vec![Item::Num(total("avg")? / seq.len() as f64)]),
+        AggFunc::Min | AggFunc::Max => {
+            if seq.is_empty() {
+                return Ok(vec![]);
+            }
+            let want = if func == AggFunc::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+            let atoms: Vec<Atom<'_>> = seq.iter().map(|item| Atom::of(doc, item)).collect();
+            let mut best = 0;
+            for (i, atom) in atoms.iter().enumerate().skip(1) {
+                if atom.compare(&atoms[best]) == Some(want) {
+                    best = i;
+                }
+            }
+            Ok(vec![seq[best].clone()])
+        }
     }
 }
 
@@ -148,30 +238,24 @@ pub enum SortKey {
 }
 
 impl SortKey {
-    /// The key of an atomized string.
-    pub fn text(s: String) -> SortKey {
-        match parse_finite(&s) {
-            Some(n) => SortKey::Num(n),
-            None => SortKey::Str(s),
-        }
-    }
-
     /// The key of a key sequence's first item (`order by` looks at the
     /// first item only, as general comparison's order did).
     pub fn first(doc: &Document, seq: &[Item]) -> SortKey {
-        match seq.first() {
-            None => SortKey::Empty,
-            Some(Item::Num(n)) => SortKey::Num(*n),
-            Some(Item::Bool(b)) => SortKey::Num(if *b { 1.0 } else { 0.0 }),
-            Some(item) => SortKey::text(item.string_value(doc)),
+        let Some(item) = seq.first() else {
+            return SortKey::Empty;
+        };
+        let atom = Atom::of(doc, item);
+        match atom.num {
+            Some(n) => SortKey::Num(n),
+            None => SortKey::Str(atom.text.into_owned()),
         }
     }
 
     /// The total order: `Empty < Num < Str`; numbers by value, with
     /// NaN (which only a computed number can be) after every other
     /// number; strings by bytes.
-    pub fn total_cmp(&self, other: &SortKey) -> std::cmp::Ordering {
-        use std::cmp::Ordering::{Equal, Greater, Less};
+    pub fn total_cmp(&self, other: &SortKey) -> Ordering {
+        use Ordering::{Equal, Greater, Less};
         match (self, other) {
             (SortKey::Empty, SortKey::Empty) => Equal,
             (SortKey::Empty, _) => Less,
@@ -239,14 +323,56 @@ mod tests {
         let d = doc();
         // "9" < "10" numerically, though "10" < "9" lexicographically.
         let o = compare_items(&d, &Item::Str("9".into()), &Item::Str("10".into()));
-        assert_eq!(o, std::cmp::Ordering::Less);
+        assert_eq!(o, Some(Ordering::Less));
     }
 
     #[test]
     fn compare_strings() {
         let d = doc();
         let o = compare_items(&d, &Item::Str("apple".into()), &Item::Str("banana".into()));
-        assert_eq!(o, std::cmp::Ordering::Less);
+        assert_eq!(o, Some(Ordering::Less));
+    }
+
+    #[test]
+    fn a_nan_operand_satisfies_only_not_equal() {
+        let d = doc();
+        let nan = [Item::Num(f64::NAN)];
+        let five = [Item::Num(5.0)];
+        assert_eq!(compare_items(&d, &nan[0], &five[0]), None);
+        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            assert!(!general_compare(&d, op, &nan, &five), "{op}");
+            assert!(!general_compare(&d, op, &nan, &nan), "{op}");
+        }
+        assert!(general_compare(&d, CmpOp::Ne, &nan, &five));
+        assert!(general_compare(&d, CmpOp::Ne, &nan, &nan));
+        // Against a non-numeric string NaN compares as its text.
+        let word = [Item::Str("NaN".into())];
+        assert!(general_compare(&d, CmpOp::Eq, &nan, &word));
+    }
+
+    #[test]
+    fn min_and_max_keep_the_first_best_item() {
+        let d = doc();
+        let a = d.nodes_labeled("a")[0];
+        let seq = vec![
+            Item::Str("10.0".into()),
+            Item::Node(a),
+            Item::Num(2.0),
+            Item::Str(" 2 ".into()),
+        ];
+        let min = aggregate(&d, AggFunc::Min, &seq).unwrap();
+        assert_eq!(min, vec![Item::Num(2.0)]);
+        let max = aggregate(&d, AggFunc::Max, &seq).unwrap();
+        assert_eq!(max, vec![Item::Str("10.0".into())]);
+        assert!(aggregate(&d, AggFunc::Max, &[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn sum_over_a_word_is_a_type_error() {
+        let d = doc();
+        let b = d.nodes_labeled("b")[0];
+        let err = aggregate(&d, AggFunc::Sum, &[Item::Num(1.0), Item::Node(b)]).unwrap_err();
+        assert_eq!(err, "sum() over non-numeric value `text`");
     }
 
     #[test]

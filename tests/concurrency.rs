@@ -5,10 +5,14 @@
 //! contract (`Send + Sync`) and the runtime one (parallel evaluation is
 //! observationally identical to serial evaluation).
 
-use nalix_repro::nalix::{BatchReply, BatchRunner, Nalix, Rejected};
+mod common;
+
+use common::{ask_in_parallel, Reply};
+use nalix_repro::nalix::{Nalix, Rejected};
 use nalix_repro::xmldb::datasets::dblp::{generate, DblpConfig};
 use nalix_repro::xmldb::Document;
 use nalix_repro::xquery::Engine;
+use std::sync::Arc;
 
 /// Compile-time assertion: the shared core is `Send + Sync`.
 #[test]
@@ -17,10 +21,9 @@ fn query_path_types_are_send_sync() {
     assert_send_sync::<Document>();
     assert_send_sync::<Engine>();
     assert_send_sync::<Nalix>();
-    assert_send_sync::<BatchRunner>();
 }
 
-fn render(reply: &BatchReply) -> String {
+fn render(reply: &Reply) -> String {
     fn errs(r: &Rejected) -> String {
         r.errors
             .iter()
@@ -44,7 +47,7 @@ fn eight_thread_batch_is_identical_to_serial() {
         articles: 60,
         seed: 11,
     });
-    let nalix = std::sync::Arc::new(Nalix::new(doc.clone()));
+    let nalix = Arc::new(Nalix::new(doc.clone()));
 
     let mut questions: Vec<&str> = vec![
         "Return the title and the authors of every book.",
@@ -63,7 +66,7 @@ fn eight_thread_batch_is_identical_to_serial() {
     let serial: Vec<String> = questions.iter().map(|q| render(&nalix.ask(q))).collect();
 
     for _round in 0..3 {
-        let parallel = BatchRunner::new(nalix.clone(), 8).run(&questions);
+        let parallel = ask_in_parallel(&nalix, 8, &questions);
         let parallel: Vec<String> = parallel.iter().map(render).collect();
         assert_eq!(parallel, serial);
     }

@@ -13,7 +13,7 @@
 use nalix_repro::nalix::{BackendKind, Nalix, Outcome};
 use nalix_repro::relstore::Shredding;
 use nalix_repro::sqlq::{
-    self, ExecLimits, FromItem, OrderSpec, Pred, Projection, Scalar, SqlCmp, SqlQuery,
+    self, CmpOp, ExecLimits, FromItem, OrderSpec, Pred, Projection, Scalar, SqlQuery,
 };
 use nalix_repro::xmldb::Document;
 use nalix_repro::xquery::{Engine, EvalBudget};
@@ -66,7 +66,7 @@ fn words_that_parse_as_non_finite_numbers_compare_as_strings() {
     let sql = sql_column(
         &doc,
         vec![Pred::Cmp {
-            op: SqlCmp::Eq,
+            op: CmpOp::Eq,
             lhs: Scalar::Val("v1".into()),
             rhs: Scalar::Num(5.0),
         }],
@@ -81,7 +81,7 @@ fn words_that_parse_as_non_finite_numbers_compare_as_strings() {
     let sql_gt = sql_column(
         &doc,
         vec![Pred::Cmp {
-            op: SqlCmp::Gt,
+            op: CmpOp::Gt,
             lhs: Scalar::Val("v1".into()),
             rhs: Scalar::Num(5.0),
         }],

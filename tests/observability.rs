@@ -5,7 +5,10 @@
 //! span per execution — and parallel/split runs must sum to the serial
 //! totals.
 
-use nalix_repro::nalix::{obs, BatchRunner, Nalix};
+mod common;
+
+use common::ask_in_parallel;
+use nalix_repro::nalix::{obs, Nalix};
 use nalix_repro::xmldb::datasets::bib::bib;
 use std::sync::Arc;
 
@@ -121,13 +124,11 @@ fn parallel_batch_totals_equal_serial_totals() {
     let doc = bib();
 
     let serial_nalix = Arc::new(fresh_nalix(&doc));
-    let serial_runner = BatchRunner::new(serial_nalix.clone(), 1);
-    let serial_replies = serial_runner.run(&QUESTIONS);
+    let serial_replies = ask_in_parallel(&serial_nalix, 1, &QUESTIONS);
     let serial = serial_nalix.metrics();
 
     let par_nalix = Arc::new(fresh_nalix(&doc));
-    let par_runner = BatchRunner::new(par_nalix.clone(), 8);
-    let par_replies = par_runner.run(&QUESTIONS);
+    let par_replies = ask_in_parallel(&par_nalix, 8, &QUESTIONS);
     let par = par_nalix.metrics();
 
     assert_eq!(serial_replies.len(), par_replies.len());

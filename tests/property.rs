@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) over the core invariants:
 //! XML round-tripping, LCA/MLCA algebra, the indexed partner
-//! enumeration, parser robustness, metric bounds, and end-to-end
-//! no-panic guarantees for template-generated English.
+//! enumeration, parser robustness, metric bounds, end-to-end no-panic
+//! guarantees for template-generated English, and the shared value
+//! layer's `min`/`max`.
 
 use nalix_repro::nalix::{Nalix, Outcome};
 use nalix_repro::nlparser;
@@ -10,7 +11,10 @@ use nalix_repro::xmldb::{Document, NodeId};
 use nalix_repro::xquery::mlca::{
     meaningful_partners, meaningful_partners_indexed, meaningfully_related,
 };
+use nalix_repro::xquery::value::{aggregate, parse_finite};
+use nalix_repro::xquery::{AggFunc, Item};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 // ---------------------------------------------------------------------
 // Random document generation
@@ -562,6 +566,102 @@ fn mlca_matches_the_definition_oracle_on_the_movie_datasets() {
                     "mqf({a:?},{b:?})"
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shared value layer: `min`/`max` against the scan it replaced
+// ---------------------------------------------------------------------
+
+/// The general-comparison order `min`/`max` used before items were
+/// atomized once per aggregate: both sides re-atomized per call, and
+/// an unordered (NaN) pair read as equal.
+fn pairwise_compare(doc: &Document, a: &Item, b: &Item) -> Ordering {
+    let sa = a.atom_value(doc);
+    let sb = b.atom_value(doc);
+    let num = |item: &Item, s: &str| -> Option<f64> {
+        match item {
+            Item::Num(n) => Some(*n),
+            Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+            _ => parse_finite(s),
+        }
+    };
+    match (num(a, &sa), num(b, &sb)) {
+        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+        _ => sa.cmp(&sb),
+    }
+}
+
+/// The pairwise scan: the first item, replaced by each later item that
+/// compares strictly before (`min`) or after (`max`) the best so far.
+fn pairwise_best(doc: &Document, func: AggFunc, seq: &[Item]) -> Vec<Item> {
+    let want = if func == AggFunc::Min {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    };
+    let Some(mut best) = seq.first() else {
+        return vec![];
+    };
+    for item in &seq[1..] {
+        if pairwise_compare(doc, item, best) == want {
+            best = item;
+        }
+    }
+    vec![best.clone()]
+}
+
+/// Cell texts: integers, decimals, numbers padded with whitespace, and
+/// words, among them the empty string and words Rust's `f64` parser
+/// reads as non-finite numbers.
+fn cell_text() -> impl Strategy<Value = String> {
+    const WORDS: [&str; 9] = [
+        "", "apple", "Nan", "NaN", "inf", "-inf", "Infinity", "1a", "b",
+    ];
+    const PADS: [&str; 3] = [" ", "\t", "\n "];
+    prop_oneof![
+        (-40i64..40).prop_map(|n| n.to_string()),
+        (-40i64..40, 0u8..100).prop_map(|(i, f)| format!("{i}.{f}")),
+        (-40i64..40, 0..PADS.len(), 0..PADS.len())
+            .prop_map(|(n, l, r)| format!("{}{n}{}", PADS[l], PADS[r])),
+        (0..WORDS.len()).prop_map(|i| WORDS[i].to_owned()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A column mixes node, string and number items over those texts;
+    /// a number item is the text's finite reading, or a computed NaN
+    /// for a word. The shared `min`/`max` picks the very item the
+    /// pairwise scan picked (compared by `Debug`, so a NaN pick and a
+    /// pick among equal nodes both count).
+    #[test]
+    fn min_and_max_pick_what_the_pairwise_scan_picked(
+        cells in proptest::collection::vec((0u8..3, cell_text()), 0..10),
+    ) {
+        let mut doc = Document::new("root");
+        let root = doc.root();
+        let mut seq = Vec::with_capacity(cells.len());
+        for (kind, text) in &cells {
+            seq.push(match kind {
+                0 => {
+                    let el = doc.add_element(root, "v");
+                    if !text.is_empty() {
+                        doc.add_text(el, text);
+                    }
+                    Item::Node(el)
+                }
+                1 => Item::Str(text.clone()),
+                _ => Item::Num(parse_finite(text).unwrap_or(f64::NAN)),
+            });
+        }
+        doc.finalize();
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let shared = aggregate(&doc, func, &seq).unwrap();
+            let pairwise = pairwise_best(&doc, func, &seq);
+            prop_assert_eq!(format!("{shared:?}"), format!("{pairwise:?}"), "{func} of {seq:?}");
         }
     }
 }

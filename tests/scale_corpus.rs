@@ -12,7 +12,7 @@
 //! ```
 
 use nalix_repro::relstore::Shredding;
-use nalix_repro::sqlq::{self, FromItem, PathAxis, Pred, Projection, Scalar, SqlCmp, SqlQuery};
+use nalix_repro::sqlq::{self, CmpOp, FromItem, PathAxis, Pred, Projection, Scalar, SqlQuery};
 use nalix_repro::xmldb::datasets::dblp::{generate, DblpConfig};
 use nalix_repro::xquery::{Engine, EvalBudget};
 use std::sync::Arc;
@@ -121,12 +121,12 @@ fn selection_sql() -> SqlQuery {
         }],
         preds: vec![
             Pred::Cmp {
-                op: SqlCmp::Eq,
+                op: CmpOp::Eq,
                 lhs: child("publisher"),
                 rhs: Scalar::Str("Addison-Wesley".to_string()),
             },
             Pred::Cmp {
-                op: SqlCmp::Gt,
+                op: CmpOp::Gt,
                 lhs: child("year"),
                 rhs: Scalar::Num(1991.0),
             },
